@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // ErrAskTimeout is returned by Ask when no reply arrives in time.
@@ -41,60 +44,105 @@ var ErrOverloaded = errors.New("actors: target overloaded")
 var ErrShardMoving = errors.New("actors: target shard is moving")
 
 // Ask sends msg to ref and waits for one reply, bridging the asynchronous
-// actor world to synchronous callers (Scala's `!?` / ask pattern). It spawns
-// a temporary actor to receive the reply. If the target is already stopped
-// the call fails fast with ErrActorStopped rather than leaking the reply
-// actor until the timeout. A message lost to an injected fault is
-// indistinguishable from a slow reply and still times out — that is what
+// actor world to synchronous callers (Scala's `!?` / ask pattern). The
+// request's sender is a one-shot reply Ref, not an actor (see askReply). If
+// the target is already stopped the call fails fast with ErrActorStopped
+// rather than waiting out the timeout. A message lost to an injected fault
+// is indistinguishable from a slow reply and still times out — that is what
 // AskRetry is for.
 func Ask(sys *System, ref *Ref, msg any, timeout time.Duration) (any, error) {
 	return askCtx(context.Background(), sys, ref, msg, timeout)
 }
 
 // askCtx is Ask with a context: a cancelled ctx abandons the wait
-// immediately (the temporary reply actor is stopped) and returns ctx.Err().
+// immediately and returns ctx.Err().
 func askCtx(ctx context.Context, sys *System, ref *Ref, msg any, timeout time.Duration) (any, error) {
-	replyCh := make(chan any, 1)
-	tmp, err := sys.Spawn("ask-reply", func(ctx *Context, m any) {
-		select {
-		case replyCh <- m:
-		default:
-		}
-		ctx.Stop()
-	})
+	r, err := sys.newAskReply()
 	if err != nil {
 		return nil, err
 	}
+	defer sys.dropAskReply(r)
 	if ref == nil || ref.sys != sys {
-		sys.Stop(tmp)
 		return nil, ErrActorStopped
 	}
-	switch sys.send(ref, Envelope{Msg: msg, Sender: tmp}) {
+	switch sys.send(ref, Envelope{Msg: msg, Sender: &r.ref}) {
 	case statusDead:
-		sys.Stop(tmp)
 		return nil, ErrActorStopped
 	case statusUnreachable:
-		sys.Stop(tmp)
 		return nil, ErrPeerUnreachable
 	case statusOverloaded:
-		sys.Stop(tmp)
 		return nil, ErrOverloaded
 	case statusMoving:
-		sys.Stop(tmp)
 		return nil, ErrShardMoving
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case r := <-replyCh:
-		return r, nil
+	case m := <-r.ch:
+		return m, nil
 	case <-ctx.Done():
-		sys.Stop(tmp)
-		return nil, ctx.Err()
+		err = ctx.Err()
 	case <-timer.C:
-		sys.Stop(tmp)
-		return nil, ErrAskTimeout
+		err = ErrAskTimeout
 	}
+	if !r.done.CompareAndSwap(false, true) {
+		return <-r.ch, nil // a reply claimed the slot as the wait ended
+	}
+	return nil, err
+}
+
+// askReply is the one-shot reply Ref of one Ask (compare Akka's
+// PromiseActorRef). While the Ask waits it sits in the system's ask table,
+// so System.ByID finds it for remote replies addressed by raw ID. The first
+// reply claims it and goes to the caller; a later one — a duplicate, or one
+// arriving after the Ask returned — deadletters as DLDead, as a send to a
+// stopped actor does.
+type askReply struct {
+	ref  Ref
+	done atomic.Bool // claimed by the first reply, or by the Ask returning
+	ch   chan any    // buffered: the claiming reply never blocks
+}
+
+// newAskReply registers a fresh reply Ref; after Shutdown it fails with
+// ErrSystemStopped, as Spawn does.
+func (s *System) newAskReply() (*askReply, error) {
+	r := &askReply{ch: make(chan any, 1)}
+	r.ref = Ref{id: s.nextID.Add(1), name: "ask-reply", sys: s, reply: r}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		return nil, ErrSystemStopped
+	}
+	s.asks[r.ref.id] = r
+	return r, nil
+}
+
+// dropAskReply closes r and removes it from the ask table.
+func (s *System) dropAskReply(r *askReply) {
+	r.done.Store(true)
+	s.mu.Lock()
+	delete(s.asks, r.ref.id)
+	s.mu.Unlock()
+}
+
+// deliverReply hands e to the Ask waiting on reply Ref to, recording the
+// receive (so a Recorder pairs it with its send) and sealing its trace span
+// there. A control message, or any send after the first, deadletters.
+func (s *System) deliverReply(to *Ref, e Envelope, ctrl bool) deliverStatus {
+	if ctrl || !to.reply.done.CompareAndSwap(false, true) {
+		s.deadletterKind(to, e, DLDead)
+		return statusDead
+	}
+	if s.cfg.Recorder != nil {
+		s.cfg.Recorder.RecordReceive(to.String(), e.traceID, fmt.Sprintf("%T", e.Msg))
+	}
+	if sp := e.Span; sp != nil {
+		now := trace.SpanNow()
+		sp.Mark(trace.StageMailbox, now)
+		sp.Finish(now)
+	}
+	to.reply.ch <- e.Msg
+	return statusDelivered
 }
 
 // RetryConfig shapes AskRetry's persistence.
@@ -154,30 +202,20 @@ func AskRetry(sys *System, ref *Ref, msg any, rc RetryConfig) (any, error) {
 // as soon as the cancellation is observed.
 func AskRetryCtx(ctx context.Context, sys *System, ref *Ref, msg any, rc RetryConfig) (any, error) {
 	rc = rc.withDefaults()
-	rng := rand.New(rand.NewSource(rc.Seed + 0x5eed))
 	start := time.Now()
-	backoff := rc.Backoff
+	b := backoff{rc: rc, next: rc.Backoff}
 	var lastErr error
 	for attempt := 1; attempt <= rc.Attempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if attempt > 1 {
-			d := backoff
-			if rc.Jitter > 0 {
-				// Scale by a uniform factor in [1-Jitter, 1+Jitter].
-				f := 1 + rc.Jitter*(2*rng.Float64()-1)
-				d = time.Duration(float64(d) * f)
-			}
+			d := b.step()
 			if rc.Budget > 0 && time.Since(start)+d > rc.Budget {
 				break
 			}
 			if err := sleepCtx(ctx, d); err != nil {
 				return nil, err
-			}
-			backoff *= 2
-			if backoff > rc.MaxBackoff {
-				backoff = rc.MaxBackoff
 			}
 		}
 		timeout := rc.Timeout
@@ -204,6 +242,27 @@ func AskRetryCtx(ctx context.Context, sys *System, ref *Ref, msg any, rc RetryCo
 		lastErr = ErrAskTimeout
 	}
 	return nil, fmt.Errorf("actors: ask retry budget exhausted: %w", lastErr)
+}
+
+// backoff is AskRetry's sleep schedule: doubling from rc.Backoff up to
+// rc.MaxBackoff, each sleep scaled by ±rc.Jitter. The jitter RNG is seeded
+// on first use: seeding costs ~5KB, and most calls never back off.
+type backoff struct {
+	rc   RetryConfig
+	next time.Duration
+	rng  *rand.Rand
+}
+
+func (b *backoff) step() time.Duration {
+	d := b.next
+	if b.rc.Jitter > 0 {
+		if b.rng == nil {
+			b.rng = rand.New(rand.NewSource(b.rc.Seed + 0x5eed))
+		}
+		d = time.Duration(float64(d) * (1 + b.rc.Jitter*(2*b.rng.Float64()-1)))
+	}
+	b.next = min(2*b.next, b.rc.MaxBackoff)
+	return d
 }
 
 // sleepCtx sleeps for d or until ctx is cancelled, whichever comes first.

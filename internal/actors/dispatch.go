@@ -184,7 +184,7 @@ func (s *System) runDedicated(c *cell) {
 					if s.conserve && !isControl(rest.Msg) {
 						s.drained.Add(1)
 					}
-					s.deadletter(c.ref, rest)
+					s.deadletterKind(c.ref, rest, DLDead)
 				}
 				s.teardown(c)
 				return

@@ -51,7 +51,7 @@ func TestPooledBasicDelivery(t *testing.T) {
 	sys := NewSystem(Config{Dispatcher: Pooled})
 	defer sys.Shutdown()
 
-	// Ask round trip (spawns a temporary reply actor on the pool).
+	// Ask round trip through a pooled actor.
 	echo := sys.MustSpawn("echo", func(ctx *Context, msg any) { ctx.Reply(msg) })
 	got, err := Ask(sys, echo, "ping", 5*time.Second)
 	if err != nil || got != "ping" {

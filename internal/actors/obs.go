@@ -89,18 +89,6 @@ var defaultRecorder atomic.Pointer[trace.Recorder]
 // untraced default.
 func SetDefaultRecorder(r *trace.Recorder) { defaultRecorder.Store(r) }
 
-// defaultTracer is the process-wide fallback consulted by NewSystem when
-// Config.Tracer is nil; see SetDefaultTracer.
-var defaultTracer atomic.Pointer[trace.Tracer]
-
-// SetDefaultTracer installs a process-wide distributed tracer adopted by
-// every subsequent NewSystem whose Config.Tracer is nil. Like SetDefaultObs
-// it exists for the CLI binaries' flags, whose workloads construct their
-// systems internally; libraries and tests should pass Config.Tracer
-// explicitly. Call it before the systems it should trace are created;
-// passing nil restores the untraced default.
-func SetDefaultTracer(t *trace.Tracer) { defaultTracer.Store(t) }
-
 // MessagesEnqueued returns the number of non-control messages accepted into
 // local mailboxes. Zero unless the conservation ledger (Obs.Conserve) is on.
 func (s *System) MessagesEnqueued() int64 { return s.enqueued.Load() }

@@ -106,17 +106,17 @@ func TestTellFromNoWait(t *testing.T) {
 	defer sys.Shutdown()
 	ref, release := fillBounded(t, sys, 1)
 
-	if ok := ref.TellFromNoWait(nil, "overflow"); ok {
-		t.Fatal("TellFromNoWait reported delivery into a full mailbox")
+	if ok := ref.TellSpanNoWait(nil, "overflow", nil); ok {
+		t.Fatal("TellSpanNoWait reported delivery into a full mailbox")
 	}
 	if got := sys.DeadLettersOf(DLOverloaded); got != 1 {
 		t.Fatalf("DLOverloaded = %d, want 1", got)
 	}
 	release <- struct{}{} // drain one slot
 	deadline := time.Now().Add(2 * time.Second)
-	for !ref.TellFromNoWait(nil, "fits") {
+	for !ref.TellSpanNoWait(nil, "fits", nil) {
 		if time.Now().After(deadline) {
-			t.Fatal("TellFromNoWait never succeeded after drain")
+			t.Fatal("TellSpanNoWait never succeeded after drain")
 		}
 		time.Sleep(time.Millisecond)
 	}

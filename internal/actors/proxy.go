@@ -31,10 +31,11 @@ const (
 // Sends on the Ref go through the normal delivery pipeline (fault injection
 // included) and are then handed to deliver instead of a local mailbox.
 //
-// deliver must not block: it is called on the sender's goroutine. It reports
-// whether the message was accepted for forwarding; a false return routes the
-// envelope to the system's deadletter hook with kind DLRemote, which is how
-// an unreachable peer surfaces — the send never blocks, it deadletters.
+// deliver must not block: it is called on the sender's goroutine. Its
+// ProxyStatus says what became of the envelope; anything but ProxyDelivered
+// deadletters it with the matching kind (ProxyUnreachable → DLRemote,
+// ProxyOverloaded → DLOverloaded, ProxyMoving → DLMoving), which is how an
+// unreachable or slow peer surfaces — the send never blocks, it deadletters.
 // Control messages (poison pills, restart directives) never reach deliver:
 // they deadletter, because remote lifecycle is the remote system's business.
 //
@@ -42,42 +43,23 @@ const (
 // ID() is unique within the system, but the proxy is not registered in the
 // routing table: Alive reports false, Await returns immediately, and Ask
 // fails fast only when deliver refuses the request.
-func (s *System) NewProxyRef(name string, deliver func(Envelope) bool) *Ref {
-	return s.NewProxyRefStatus(name, func(e Envelope) ProxyStatus {
-		if deliver(e) {
-			return ProxyDelivered
-		}
-		return ProxyUnreachable
-	})
+func (s *System) NewProxyRef(name string, deliver func(Envelope) ProxyStatus) *Ref {
+	return &Ref{id: s.nextID.Add(1), name: name, sys: s, proxy: deliver}
 }
 
-// NewProxyRefStatus is NewProxyRef for proxies that distinguish failure
-// modes: deliver returns a ProxyStatus instead of a bool, so an overloaded
-// link (ProxyOverloaded → DLOverloaded, ErrOverloaded) surfaces differently
-// from a dead peer (ProxyUnreachable → DLRemote, ErrPeerUnreachable). The
-// same non-blocking contract applies.
-func (s *System) NewProxyRefStatus(name string, deliver func(Envelope) ProxyStatus) *Ref {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-	return &Ref{id: id, name: name, sys: s, proxy: deliver}
-}
-
-// IsProxy reports whether the Ref forwards through a proxy function rather
-// than a local mailbox.
-func (r *Ref) IsProxy() bool { return r != nil && r.proxy != nil }
-
-// ByID returns the live local actor with the given ID, or nil if it has
-// stopped or never existed. Remote transports use it to route a reply
-// addressed by raw ID back to the asking actor; a nil return means the asker
-// is gone (for example an Ask that already timed out) and the reply should
-// deadletter.
+// ByID returns the live local actor, or the reply Ref of the in-flight Ask,
+// with the given ID, or nil if it has stopped, returned, or never existed.
+// Remote transports use it to route a reply addressed by raw ID back to the
+// asker; a nil return means the asker is gone (for example an Ask that
+// already timed out) and the reply should deadletter.
 func (s *System) ByID(id uint64) *Ref {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c, ok := s.actors[id]; ok {
 		return c.ref
+	}
+	if r, ok := s.asks[id]; ok {
+		return &r.ref
 	}
 	return nil
 }

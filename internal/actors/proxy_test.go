@@ -14,15 +14,12 @@ func TestProxyRefForwardsEnvelopes(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []Envelope
-	p := sys.NewProxyRef("remote-echo", func(e Envelope) bool {
+	p := sys.NewProxyRef("remote-echo", func(e Envelope) ProxyStatus {
 		mu.Lock()
 		got = append(got, e)
 		mu.Unlock()
-		return true
+		return ProxyDelivered
 	})
-	if !p.IsProxy() {
-		t.Fatal("IsProxy() = false for a proxy ref")
-	}
 	sender := sys.MustSpawn("sender", func(ctx *Context, msg any) {})
 	p.TellFrom(sender, "hello")
 	p.Tell(42)
@@ -53,7 +50,7 @@ func TestProxyRefusalDeadlettersAsRemote(t *testing.T) {
 	}})
 	defer sys.Shutdown()
 
-	p := sys.NewProxyRef("peer-down", func(e Envelope) bool { return false })
+	p := sys.NewProxyRef("peer-down", func(e Envelope) ProxyStatus { return ProxyUnreachable })
 	start := time.Now()
 	p.Tell("lost")
 	if time.Since(start) > time.Second {
@@ -74,9 +71,9 @@ func TestControlMessagesNeverCrossProxy(t *testing.T) {
 	defer sys.Shutdown()
 
 	var delivered int
-	p := sys.NewProxyRef("remote", func(e Envelope) bool {
+	p := sys.NewProxyRef("remote", func(e Envelope) ProxyStatus {
 		delivered++
-		return true
+		return ProxyDelivered
 	})
 	sys.Stop(p) // poison pill: local directive, must not be forwarded
 	if delivered != 0 {
@@ -90,7 +87,7 @@ func TestControlMessagesNeverCrossProxy(t *testing.T) {
 func TestProxyIsNotAlive(t *testing.T) {
 	sys := NewSystem(Config{})
 	defer sys.Shutdown()
-	p := sys.NewProxyRef("remote", func(e Envelope) bool { return true })
+	p := sys.NewProxyRef("remote", func(e Envelope) ProxyStatus { return ProxyDelivered })
 	if sys.Alive(p) {
 		t.Fatal("Alive(proxy) = true; proxies are not local actors")
 	}
@@ -113,8 +110,8 @@ func TestProxyIDsAreUniqueAndByIDFindsLocals(t *testing.T) {
 	defer sys.Shutdown()
 
 	local := sys.MustSpawn("local", func(ctx *Context, msg any) {})
-	p1 := sys.NewProxyRef("p1", func(e Envelope) bool { return true })
-	p2 := sys.NewProxyRef("p2", func(e Envelope) bool { return true })
+	p1 := sys.NewProxyRef("p1", func(e Envelope) ProxyStatus { return ProxyDelivered })
+	p2 := sys.NewProxyRef("p2", func(e Envelope) ProxyStatus { return ProxyDelivered })
 	ids := map[uint64]bool{local.ID(): true, p1.ID(): true, p2.ID(): true}
 	if len(ids) != 3 {
 		t.Fatalf("IDs collide: local=%d p1=%d p2=%d", local.ID(), p1.ID(), p2.ID())
@@ -146,7 +143,7 @@ func TestProxyIDsAreUniqueAndByIDFindsLocals(t *testing.T) {
 func TestAskThroughRefusingProxyFailsFast(t *testing.T) {
 	sys := NewSystem(Config{})
 	defer sys.Shutdown()
-	p := sys.NewProxyRef("peer-down", func(e Envelope) bool { return false })
+	p := sys.NewProxyRef("peer-down", func(e Envelope) ProxyStatus { return ProxyUnreachable })
 	start := time.Now()
 	_, err := Ask(sys, p, "ping", 10*time.Second)
 	if !errors.Is(err, ErrPeerUnreachable) {
@@ -165,16 +162,16 @@ func TestAskRetryRetriesUnreachablePeer(t *testing.T) {
 	defer sys.Shutdown()
 	var refusals atomic.Int64
 	var accepted atomic.Value // stores Envelope
-	p := sys.NewProxyRef("flaky-peer", func(e Envelope) bool {
+	p := sys.NewProxyRef("flaky-peer", func(e Envelope) ProxyStatus {
 		if refusals.Add(1) <= 3 {
-			return false
+			return ProxyUnreachable
 		}
 		accepted.Store(e)
 		// Reply as the remote end would, so the ask completes.
 		if e.Sender != nil {
 			e.Sender.Tell("pong")
 		}
-		return true
+		return ProxyDelivered
 	})
 	r, err := AskRetry(sys, p, "ping", RetryConfig{
 		Attempts: 10, Timeout: 100 * time.Millisecond, Backoff: time.Millisecond,
@@ -195,14 +192,14 @@ func TestDeadLetterKindCounts(t *testing.T) {
 	defer sys.Shutdown()
 
 	// DLNoRecipient: nil target.
-	sys.deliver(nil, Envelope{Msg: "x"})
+	sys.send(nil, Envelope{Msg: "x"})
 	// DLDead: foreign ref.
 	other := NewSystem(Config{})
 	foreign := other.MustSpawn("foreign", func(ctx *Context, msg any) {})
 	other.Shutdown()
-	sys.deliver(foreign, Envelope{Msg: "x"})
+	sys.send(foreign, Envelope{Msg: "x"})
 	// DLRemote: refusing proxy.
-	p := sys.NewProxyRef("p", func(e Envelope) bool { return false })
+	p := sys.NewProxyRef("p", func(e Envelope) ProxyStatus { return ProxyUnreachable })
 	p.Tell("x")
 
 	want := map[DeadLetterKind]int64{

@@ -13,7 +13,7 @@ import (
 // cluster shard mid-handoff that lands on its new owner.
 func movingProxy(sys *System, target *Ref, moves int64) *Ref {
 	var n atomic.Int64
-	return sys.NewProxyRefStatus("shard-proxy", func(e Envelope) ProxyStatus {
+	return sys.NewProxyRef("shard-proxy", func(e Envelope) ProxyStatus {
 		if n.Add(1) <= moves {
 			return ProxyMoving
 		}
@@ -30,7 +30,7 @@ func movingProxy(sys *System, target *Ref, moves int64) *Ref {
 func TestAskFailsFastShardMoving(t *testing.T) {
 	sys := NewSystem(Config{})
 	defer sys.Shutdown()
-	ref := sys.NewProxyRefStatus("shard-proxy", func(Envelope) ProxyStatus {
+	ref := sys.NewProxyRef("shard-proxy", func(Envelope) ProxyStatus {
 		return ProxyMoving
 	})
 
@@ -91,7 +91,7 @@ func TestAskRetryCtxCancelMidHandoff(t *testing.T) {
 	sys := NewSystem(Config{})
 	defer sys.Shutdown()
 	// A handoff that never completes: every attempt is refused as moving.
-	ref := sys.NewProxyRefStatus("shard-proxy", func(Envelope) ProxyStatus {
+	ref := sys.NewProxyRef("shard-proxy", func(Envelope) ProxyStatus {
 		return ProxyMoving
 	})
 

@@ -173,3 +173,30 @@ func TestTraceOverheadSmoke(t *testing.T) {
 		t.Fatalf("1/64-sampled Tell %.1f ns/op exceeds 1.5x untraced %.1f ns/op", sampled, plain)
 	}
 }
+
+// TestTracedAskReplySpan: a traced Ask's reply continues the trace as a
+// child span that is sealed, delivered, at the one-shot reply Ref, with a
+// ledger that telescopes.
+func TestTracedAskReplySpan(t *testing.T) {
+	tr := trace.NewTracer(1, 0)
+	sys := NewSystem(Config{Tracer: tr})
+	defer sys.Shutdown()
+	echo := sys.MustSpawn("echo", func(ctx *Context, msg any) { ctx.Reply(msg) })
+	if got, err := Ask(sys, echo, "ping", time.Second); err != nil || got != "ping" {
+		t.Fatalf("Ask = %v, %v", got, err)
+	}
+	byActor := map[string]trace.SpanView{}
+	for _, v := range waitSpans(t, tr, 2) {
+		byActor[v.Actor] = v
+	}
+	req, rep := byActor["echo"], byActor["ask-reply"]
+	if rep.ID == 0 || rep.Trace != req.Trace || rep.Parent != req.ID {
+		t.Fatalf("reply span does not continue the request's trace: req %+v rep %+v", req, rep)
+	}
+	if rep.End == 0 || rep.Dead != "" {
+		t.Fatalf("reply span not sealed delivered: %+v", rep)
+	}
+	if rep.StageSum() != int64(rep.Duration()) {
+		t.Fatalf("reply ledger does not telescope: sum %d, duration %d", rep.StageSum(), rep.Duration())
+	}
+}

@@ -32,6 +32,7 @@ type Ref struct {
 	// the envelope (DLRemote for unreachable, DLOverloaded for a refused
 	// admission). See System.NewProxyRef and internal/remote.
 	proxy func(Envelope) ProxyStatus
+	reply *askReply // non-nil: the one-shot reply Ref of an Ask (ask.go)
 }
 
 // Name returns the actor's registered name.
@@ -60,7 +61,7 @@ func (r *Ref) Tell(msg any) {
 	if r == nil || r.sys == nil {
 		return
 	}
-	r.sys.deliver(r, Envelope{Msg: msg})
+	r.sys.send(r, Envelope{Msg: msg})
 }
 
 // TellFrom sends msg recording sender, so the receiver's Context.Sender()
@@ -69,20 +70,7 @@ func (r *Ref) TellFrom(sender *Ref, msg any) {
 	if r == nil || r.sys == nil {
 		return
 	}
-	r.sys.deliver(r, Envelope{Msg: msg, Sender: sender})
-}
-
-// TellFromNoWait is TellFrom for conduits that must never block — the
-// remote dispatch path uses it so a full bounded mailbox can never stall a
-// connection's reader goroutine. Where TellFrom would block (MailboxBlock
-// policy, queue full) the message is shed and deadlettered as DLOverloaded
-// instead. It reports whether the message was enqueued (or accepted by a
-// proxy); false means it deadlettered — shed, dropped, or target gone.
-func (r *Ref) TellFromNoWait(sender *Ref, msg any) bool {
-	if r == nil || r.sys == nil {
-		return false
-	}
-	return r.sys.sendMode(r, Envelope{Msg: msg, Sender: sender}, putNoWait) == statusDelivered
+	r.sys.send(r, Envelope{Msg: msg, Sender: sender})
 }
 
 // TellSpan sends msg continuing the given trace span (which may be nil),
@@ -94,12 +82,15 @@ func (r *Ref) TellSpan(sender *Ref, msg any, sp *trace.Span) {
 		sp.FinishDead(DLNoRecipient.String(), trace.SpanNow())
 		return
 	}
-	r.sys.deliver(r, Envelope{Msg: msg, Sender: sender, Span: sp, noTrace: true})
+	r.sys.send(r, Envelope{Msg: msg, Sender: sender, Span: sp, noTrace: true})
 }
 
-// TellSpanNoWait is TellSpan with TellFromNoWait's never-block contract: the
-// remote dispatch path uses it so a traced delivery can continue its span
-// without ever stalling a connection's reader goroutine.
+// TellSpanNoWait is TellSpan for conduits that must never block — the
+// remote dispatch path uses it so a full bounded mailbox can never stall a
+// connection's reader goroutine. Where TellSpan would block (MailboxBlock
+// policy, queue full) the message is shed and deadlettered as DLOverloaded
+// instead. It reports whether the message was enqueued (or accepted by a
+// proxy); false means it deadlettered — shed, dropped, or target gone.
 func (r *Ref) TellSpanNoWait(sender *Ref, msg any, sp *trace.Span) bool {
 	if r == nil || r.sys == nil {
 		sp.FinishDead(DLNoRecipient.String(), trace.SpanNow())
@@ -191,8 +182,9 @@ type System struct {
 	cfg        Config
 	throughput int
 	mu         sync.Mutex
-	nextID     uint64
+	nextID     atomic.Uint64
 	actors     map[uint64]*cell
+	asks       map[uint64]*askReply // in-flight Asks' reply Refs, by ID
 	stopped    bool
 	wg         sync.WaitGroup
 
@@ -280,7 +272,7 @@ var NoRecipient = &Ref{name: "no-recipient"}
 
 // NewSystem creates an actor system with the given config.
 func NewSystem(cfg Config) *System {
-	s := &System{cfg: cfg, actors: make(map[uint64]*cell)}
+	s := &System{cfg: cfg, actors: make(map[uint64]*cell), asks: make(map[uint64]*askReply)}
 	s.throughput = cfg.Throughput
 	if s.throughput <= 0 {
 		s.throughput = 64
@@ -290,9 +282,6 @@ func NewSystem(cfg Config) *System {
 	}
 	if cfg.Recorder == nil {
 		s.cfg.Recorder = defaultRecorder.Load()
-	}
-	if cfg.Tracer == nil {
-		s.cfg.Tracer = defaultTracer.Load()
 	}
 	if o := s.cfg.Obs; o != nil {
 		s.obsSample = o.sampleRate()
@@ -329,8 +318,7 @@ func (s *System) spawn(name string, b Behavior, sup *Supervisor, factory func() 
 		s.mu.Unlock()
 		return nil, ErrSystemStopped
 	}
-	s.nextID++
-	id := s.nextID
+	id := s.nextID.Add(1)
 	ref := &Ref{id: id, name: name, sys: s}
 	var perturb *rand.Rand
 	if s.cfg.PerturbSeed != 0 {
@@ -631,8 +619,6 @@ const (
 	statusMoving
 )
 
-func (s *System) deliver(to *Ref, e Envelope) { s.send(to, e) }
-
 // send delivers an envelope and reports what happened, so synchronous
 // bridges like Ask can fail fast on dead targets.
 func (s *System) send(to *Ref, e Envelope) deliverStatus {
@@ -700,6 +686,9 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 	if s.cfg.Recorder != nil && !ctrl {
 		e.traceID = fmt.Sprintf("%s#%d", to.String(), s.traceSeq.Add(1))
 		s.cfg.Recorder.RecordSend(senderName(e.Sender), e.traceID, fmt.Sprintf("%T", e.Msg))
+	}
+	if to.reply != nil {
+		return s.deliverReply(to, e, ctrl)
 	}
 	s.mu.Lock()
 	c, ok := s.actors[to.id]
@@ -794,14 +783,6 @@ func (k DeadLetterKind) String() string {
 	}
 }
 
-func (s *System) deadletter(to *Ref, e Envelope) {
-	kind := DLDead
-	if to == nil {
-		kind = DLNoRecipient
-	}
-	s.deadletterKind(to, e, kind)
-}
-
 func (s *System) deadletterKind(to *Ref, e Envelope, kind DeadLetterKind) {
 	s.deadletters.Add(1)
 	s.dlByKind[kind].Add(1)
@@ -846,7 +827,7 @@ func (s *System) DeadLettersOf(kind DeadLetterKind) int64 {
 
 // Stop asks the actor to terminate after the messages already in its
 // mailbox. Further sends go to deadletters once it terminates.
-func (s *System) Stop(ref *Ref) { s.deliver(ref, Envelope{Msg: stopMsg{}}) }
+func (s *System) Stop(ref *Ref) { s.send(ref, Envelope{Msg: stopMsg{}}) }
 
 // Await blocks until the actor has terminated.
 func (s *System) Await(ref *Ref) {
@@ -983,7 +964,7 @@ func (c *Context) Send(to *Ref, msg any) {
 			e.Span = tr.Child(c.span, to.name, fmt.Sprintf("%T", msg), trace.SpanNow())
 		}
 	}
-	to.sys.deliver(to, e)
+	to.sys.send(to, e)
 }
 
 // Span returns the trace span riding the message being processed, nil when
@@ -1005,7 +986,7 @@ func (c *Context) TakeSpan() *trace.Span {
 // if the sender was not recorded.
 func (c *Context) Reply(msg any) {
 	if c.sender == nil {
-		c.system.deadletter(nil, Envelope{Msg: msg, Sender: c.self})
+		c.system.deadletterKind(nil, Envelope{Msg: msg, Sender: c.self}, DLNoRecipient)
 		return
 	}
 	c.Send(c.sender, msg)

@@ -1,6 +1,7 @@
 package actors
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -110,4 +111,43 @@ func TestRecorderPoisonPillNotRecorded(t *testing.T) {
 			t.Fatalf("poison pill leaked into the trace: %v", e)
 		}
 	}
+}
+
+// TestRecorderPairsAskWithReply: an Ask's reply is recorded as a send by the
+// replier and a receive at the reply Ref under one message ID, ordered by
+// happened-before — the pairing the detectors (internal/detect) rely on.
+func TestRecorderPairsAskWithReply(t *testing.T) {
+	rec := trace.NewRecorder()
+	sys := NewSystem(Config{Recorder: rec})
+	defer sys.Shutdown()
+	echo := sys.MustSpawn("echo", func(ctx *Context, msg any) { ctx.Reply(msg) })
+	if _, err := Ask(sys, echo, "ping", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var send, recv *trace.Event
+	events := rec.Events()
+	for i := range events {
+		e := &events[i]
+		switch {
+		case e.Kind == trace.KindSend && e.Task == echo.String():
+			send = e
+		case e.Kind == trace.KindReceive && nameOfTask(e.Task) == "ask-reply":
+			recv = e
+		}
+	}
+	if send == nil || recv == nil {
+		t.Fatalf("reply send/receive missing from trace:\n%s", rec)
+	}
+	if send.Object != recv.Object {
+		t.Fatalf("reply send %q and receive %q carry different message IDs", send.Object, recv.Object)
+	}
+	if !send.Clock.Before(recv.Clock) {
+		t.Fatalf("reply send %v not happened-before its receive %v", send, recv)
+	}
+}
+
+// nameOfTask extracts the actor name from a Ref's String() ("actor(name#id)").
+func nameOfTask(task string) string {
+	name, _, _ := strings.Cut(strings.TrimPrefix(task, "actor("), "#")
+	return name
 }

@@ -297,7 +297,7 @@ func (c *Cluster) RefFor(name string) *actors.Ref {
 		return r
 	}
 	c.gmu.RUnlock()
-	ref := c.sys.NewProxyRefStatus("grain:"+name, func(e actors.Envelope) actors.ProxyStatus {
+	ref := c.sys.NewProxyRef("grain:"+name, func(e actors.Envelope) actors.ProxyStatus {
 		ge := GrainEnvelope{Grain: name, Msg: e.Msg}
 		if e.Sender != nil {
 			ge.FromAddr, ge.FromID, ge.FromName = c.addr, e.Sender.ID(), e.Sender.Name()
@@ -391,8 +391,7 @@ func (c *Cluster) routeInbound(ctx *actors.Context, msg any) {
 	}
 	var sender *actors.Ref
 	if ge.FromID != 0 && ge.FromAddr != "" {
-		display := fmt.Sprintf("%s@%s", ge.FromName, ge.FromAddr)
-		sender = c.node.RefByID(ge.FromAddr, ge.FromID, display)
+		sender = c.node.RefByID(ge.FromAddr, ge.FromID, ge.FromName+"@"+ge.FromAddr)
 	}
 	// Take ownership of the span so processOne does not seal it when this
 	// handler returns: routing is a relay, and the span belongs to the

@@ -95,6 +95,9 @@ type membership struct {
 	inc     uint64 // own incarnation
 	members map[string]*memberRec
 	epoch   uint64
+	// linkDown holds the peers whose dial-out link last reported down
+	// (onLinkState): direct evidence that outranks gossip for quorum.
+	linkDown map[string]bool
 
 	// ring memoizes shard ownership for the current epoch: owners are
 	// alive+suspect members (suspects keep their shards; see package doc).
@@ -110,6 +113,7 @@ func newMembership(shards int, suspectAfter time.Duration, onChange func([]membe
 		shards:       shards,
 		onChange:     onChange,
 		members:      map[string]*memberRec{},
+		linkDown:     map[string]bool{},
 	}
 }
 
@@ -175,16 +179,24 @@ func (m *membership) countsLocked() (alive, suspect, dead, total int) {
 	return
 }
 
-// quorate reports whether this node may host activations: it must believe a
-// strict majority of all known (non-left) members — itself included — is
-// alive. Suspects do not count toward the majority: that is what makes the
+// quorate reports whether this node may host activations: it must see a
+// strict majority of all known (non-left) members — itself included — alive
+// over a link that is not down. Suspects do not count toward the majority,
+// and neither does a member gossip calls alive while our own link to it is
+// down (say, still in redial backoff after a heal): that is what makes the
 // minority side of a partition fence itself within one heartbeat timeout,
 // before the majority side's SuspectAfter expires and ownership moves.
 func (m *membership) quorate() bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	alive, _, _, total := m.countsLocked()
-	return alive*2 > total
+	_, _, _, total := m.countsLocked()
+	seen := 0
+	for addr, r := range m.members {
+		if r.State == StateAlive && !m.linkDown[addr] {
+			seen++
+		}
+	}
+	return seen*2 > total
 }
 
 // ownerOf resolves a shard to its owning member under the current view.
@@ -379,12 +391,17 @@ func (m *membership) merge(claims []Member, now time.Time) {
 
 // onLinkState is the wire layer's liveness verdict for one dial-out link.
 // Down is direct evidence: alive → suspect at the member's current
-// incarnation. Up clears a suspicion we raised ourselves the same way; a
-// dead member is NOT revived by a mere reconnect — it must refute through
-// gossip at a higher incarnation, or its stale ownership could resurrect.
+// incarnation, and the member stops counting toward quorum until the link
+// is back up, whatever gossip says. Up clears a suspicion we raised
+// ourselves the same way; a dead member is NOT revived by a mere reconnect —
+// it must refute through gossip at a higher incarnation, or its stale
+// ownership could resurrect.
 func (m *membership) onLinkState(peer string, up bool) {
 	var changes []memberChange
 	m.mu.Lock()
+	if peer != m.self {
+		m.linkDown[peer] = !up
+	}
 	rec, known := m.members[peer]
 	if !known || peer == m.self {
 		m.mu.Unlock()

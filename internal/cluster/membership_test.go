@@ -150,6 +150,32 @@ func TestSuspectPromotionAndQuorum(t *testing.T) {
 	}
 }
 
+// TestGossipDoesNotRestoreQuorumOverDownLink: a member gossip revives (it
+// refuted at a higher incarnation) while our own link to it is still down
+// does not count toward quorum. Otherwise a node isolated again before that
+// link redials keeps hosting on second-hand news, overlapping the majority.
+func TestGossipDoesNotRestoreQuorumOverDownLink(t *testing.T) {
+	m := newMembership(16, time.Hour, nil)
+	now := time.Now()
+	m.start("A", []string{"B", "C"}, now)
+	m.onLinkState("B", false)
+	m.merge([]Member{{Addr: "B", Inc: 1, State: StateAlive}}, now)
+	if ms, _ := m.snapshot(); stateOf(ms, "B") != StateAlive {
+		t.Fatal("refutation at a higher incarnation did not revive B")
+	}
+	if !m.quorate() {
+		t.Fatal("A and C reachable: 2 of 3 should be quorate")
+	}
+	m.onLinkState("C", false)
+	if m.quorate() {
+		t.Fatal("only A reachable (B's link is down): must not be quorate")
+	}
+	m.onLinkState("B", true)
+	if !m.quorate() {
+		t.Fatal("B's link is back: 2 of 3 should be quorate")
+	}
+}
+
 func TestRingMinimalMovement(t *testing.T) {
 	const shards = 128
 	all := []string{"n1", "n2", "n3"}

@@ -253,4 +253,3 @@ func TestMidBatchPartitionKeepsFIFO(t *testing.T) {
 		t.Fatal("partition never bit")
 	}
 }
-

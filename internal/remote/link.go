@@ -97,9 +97,6 @@ func (l *link) credits() int64 {
 // depth is the current outbox occupancy (per-link gauge).
 func (l *link) depth() int64 { return int64(len(l.outbox)) }
 
-// isUp reports whether the link has a live, hello'd connection.
-func (l *link) isUp() bool { return l.state.Load() == linkUp }
-
 // notify surfaces a liveness transition through Config.OnLinkState, once per
 // transition (manager goroutine only). The very first down report fires too:
 // a seed peer that refuses the initial dial is exactly what a failure

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -284,17 +285,11 @@ func (n *Node) Register(name string, ref *actors.Ref) {
 	n.names[name] = ref
 }
 
-// Unregister removes a name. In-flight frames addressed to it deadletter.
-func (n *Node) Unregister(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.names, name)
-}
-
 // RefFor resolves "name@addr" to a proxy Ref whose Tell/Ask cross the wire.
 // The link to addr starts dialing immediately in the background; use
 // Connect to wait for it. Sends before the link is up (or while the peer is
-// partitioned away) deadletter rather than block.
+// partitioned away) deadletter rather than block. Proxies are cached per
+// target.
 func (n *Node) RefFor(target string) (*actors.Ref, error) {
 	name, addr, ok := strings.Cut(target, "@")
 	if !ok || name == "" || addr == "" {
@@ -304,7 +299,16 @@ func (n *Node) RefFor(target string) (*actors.Ref, error) {
 		return nil, ErrClosed
 	}
 	n.linkTo(addr)
-	return n.proxyRef("name:"+target, target, addr, name, 0), nil
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p, ok := n.proxies[target]
+	if !ok {
+		p = n.sys.NewProxyRef(target, func(e actors.Envelope) actors.ProxyStatus {
+			return n.forward(addr, name, 0, e)
+		})
+		n.proxies[target] = p
+	}
+	return p, nil
 }
 
 // RefByID returns a proxy Ref addressing the actor with the given system ID
@@ -313,13 +317,14 @@ func (n *Node) RefFor(target string) (*actors.Ref, error) {
 // forwarded on: the origin's address and actor ID travel inside the routed
 // payload, and the final host materializes the sender proxy from them so
 // replies cross the wire directly back to the origin node instead of
-// retracing the forwarding chain. The proxy is cached like every other.
+// retracing the forwarding chain. Unlike RefFor's proxies it is not cached:
+// an ID-addressed proxy is typically one Ask's reply path, used once.
 func (n *Node) RefByID(addr string, id uint64, display string) *actors.Ref {
 	if addr == "" || id == 0 {
 		return nil
 	}
 	n.linkTo(addr)
-	return n.proxyRef(fmt.Sprintf("id:%s#%d", addr, id), display, addr, "", id)
+	return n.idProxy(addr, id, display)
 }
 
 // Forward hands e to the named actor on the node at addr and reports the
@@ -342,7 +347,7 @@ func (n *Node) Connect(addr string, timeout time.Duration) error {
 	}
 	l := n.linkTo(addr)
 	deadline := time.Now().Add(timeout)
-	for !l.isUp() {
+	for l.state.Load() != linkUp {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("remote: connect %s: timed out after %s", addr, timeout)
 		}
@@ -561,26 +566,12 @@ func (n *Node) linkTo(addr string) *link {
 	return l
 }
 
-// proxyRef returns the cached proxy Ref under key, creating it on first
-// use. name/id address the remote target (exactly one set); display is the
-// Ref's human-readable name.
-func (n *Node) proxyRef(key, display, addr, name string, id uint64) *actors.Ref {
-	n.mu.Lock()
-	if p, ok := n.proxies[key]; ok {
-		n.mu.Unlock()
-		return p
-	}
-	n.mu.Unlock()
-	ref := n.sys.NewProxyRefStatus(display, func(e actors.Envelope) actors.ProxyStatus {
-		return n.forward(addr, name, id, e)
+// idProxy returns an uncached proxy Ref for actor id on the node at addr:
+// most are one Ask's reply path, and a cache would keep each forever.
+func (n *Node) idProxy(addr string, id uint64, display string) *actors.Ref {
+	return n.sys.NewProxyRef(display, func(e actors.Envelope) actors.ProxyStatus {
+		return n.forward(addr, "", id, e)
 	})
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if p, ok := n.proxies[key]; ok {
-		return p // lost the creation race; keep the first
-	}
-	n.proxies[key] = ref
-	return ref
 }
 
 // forward is the proxy delivery function: it stamps e into a pooled wire
@@ -593,8 +584,6 @@ func (n *Node) proxyRef(key, display, addr, name string, id uint64) *actors.Ref 
 // writer eventually backs sends up into.
 func (n *Node) forward(addr, name string, id uint64, e actors.Envelope) actors.ProxyStatus {
 	if addr == "" || n.isClosed() {
-		// addr "" is the tombstone proxy: it exists only to name a dead
-		// destination in deadletter hooks and never forwards.
 		return actors.ProxyUnreachable
 	}
 	w := getEnvelope()
@@ -1000,9 +989,7 @@ func (n *Node) statics() *staticFrames {
 func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	var sender *actors.Ref
 	if w.FromID != 0 && w.FromAddr != "" {
-		display := fmt.Sprintf("%s@%s", w.FromName, w.FromAddr)
-		key := fmt.Sprintf("id:%s#%d", w.FromAddr, w.FromID)
-		sender = n.proxyRef(key, display, w.FromAddr, "", w.FromID)
+		sender = n.idProxy(w.FromAddr, w.FromID, w.FromName+"@"+w.FromAddr)
 	}
 	var target *actors.Ref
 	switch {
@@ -1032,11 +1019,17 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	if target == nil {
 		// Unknown name, or an actor that stopped since the frame was sent
 		// (e.g. the reply of an Ask that already timed out): the existing
-		// deadletter contract, addressed to a tombstone ref so hooks can
-		// still read the intended destination (and seal the span with the
-		// refusal kind).
+		// deadletter contract, addressed to an uncached tombstone ref so
+		// hooks can still read the intended destination (and seal the span
+		// with the refusal kind).
 		n.remoteDead.Add(1)
-		n.tombstone(w).TellSpan(sender, w.Payload, sp)
+		dest := w.To
+		if dest == "" {
+			dest = "#" + strconv.FormatUint(w.ToID, 10)
+		}
+		n.sys.NewProxyRef(dest+"@"+n.addr, func(actors.Envelope) actors.ProxyStatus {
+			return actors.ProxyUnreachable
+		}).TellSpan(sender, w.Payload, sp)
 		return nil
 	}
 	// No-wait delivery: this runs on the connection's reader goroutine, and
@@ -1050,17 +1043,6 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 		n.inboundShed.Add(1)
 	}
 	return target
-}
-
-// tombstone returns a cached always-deadletter proxy for a frame whose
-// target does not exist here, named after the intended destination.
-func (n *Node) tombstone(w *WireEnvelope) *actors.Ref {
-	dest := w.To
-	if dest == "" {
-		dest = fmt.Sprintf("#%d", w.ToID)
-	}
-	display := fmt.Sprintf("%s@%s", dest, n.addr)
-	return n.proxyRef("dead:"+display, display, "", "", 0)
 }
 
 // recordWire appends one WireEvent when Config.RecordWire is on.

@@ -110,6 +110,40 @@ func TestAskCrossesNodesAndReplyRoutesBack(t *testing.T) {
 	}
 }
 
+// TestRemoteAsksDoNotGrowProxyCache: every remote Ask's reply Ref reaches the
+// serving node as an ID-addressed sender. Those proxies are built per frame,
+// not cached, so N asks leave both nodes' proxy maps exactly as one did.
+func TestRemoteAsksDoNotGrowProxyCache(t *testing.T) {
+	a, b, _ := twoMemNodes(t, nil)
+	echo := b.System().MustSpawn("echo", func(ctx *actors.Context, msg any) { ctx.Reply(msg) })
+	b.Register("echo", echo)
+	ref, err := a.RefFor("echo@" + b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Connect(b.Addr(), 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	proxies := func(n *Node) int {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return len(n.proxies)
+	}
+	ask := func(i int) {
+		if r, err := actors.Ask(a.System(), ref, tPing{N: i}, 5*time.Second); err != nil || r != (tPing{N: i}) {
+			t.Fatalf("ask %d = %#v, %v", i, r, err)
+		}
+	}
+	ask(0)
+	beforeA, beforeB := proxies(a), proxies(b)
+	for i := 1; i <= 200; i++ {
+		ask(i)
+	}
+	if gotA, gotB := proxies(a), proxies(b); gotA != beforeA || gotB != beforeB {
+		t.Fatalf("proxy maps grew over 200 asks: A %d→%d, B %d→%d", beforeA, gotA, beforeB, gotB)
+	}
+}
+
 func TestUnreachablePeerDeadlettersWithoutBlocking(t *testing.T) {
 	net := NewMemNetwork()
 	var dead atomic.Int64

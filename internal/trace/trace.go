@@ -14,35 +14,35 @@ type Kind int
 
 // Event kinds recorded by the runtimes and the pseudocode interpreter.
 const (
-	KindLocal   Kind = iota // local computation step
-	KindRead                // shared-variable read
-	KindWrite               // shared-variable write
-	KindAcquire             // lock/exclusive-access acquire
-	KindRelease             // lock/exclusive-access release
-	KindSend                // message send
-	KindReceive             // message receive
-	KindWait                // condition wait
-	KindNotify              // condition notify
-	KindSpawn               // task creation
-	KindExit                // task termination
-	KindFault               // injected fault (drop/delay/panic) on an operation
-	KindRestart             // supervised task restarted after a failure
-	KindBecome              // actor swapped its behavior (handler generation change)
-	KindDeadLetter          // message that could not be delivered (see actors.DeadLetterKind)
+	KindLocal      Kind = iota // local computation step
+	KindRead                   // shared-variable read
+	KindWrite                  // shared-variable write
+	KindAcquire                // lock/exclusive-access acquire
+	KindRelease                // lock/exclusive-access release
+	KindSend                   // message send
+	KindReceive                // message receive
+	KindWait                   // condition wait
+	KindNotify                 // condition notify
+	KindSpawn                  // task creation
+	KindExit                   // task termination
+	KindFault                  // injected fault (drop/delay/panic) on an operation
+	KindRestart                // supervised task restarted after a failure
+	KindBecome                 // actor swapped its behavior (handler generation change)
+	KindDeadLetter             // message that could not be delivered (see actors.DeadLetterKind)
 )
 
 var kindNames = map[Kind]string{
-	KindLocal:   "local",
-	KindRead:    "read",
-	KindWrite:   "write",
-	KindAcquire: "acquire",
-	KindRelease: "release",
-	KindSend:    "send",
-	KindReceive: "receive",
-	KindWait:    "wait",
-	KindNotify:  "notify",
-	KindSpawn:   "spawn",
-	KindExit:    "exit",
+	KindLocal:      "local",
+	KindRead:       "read",
+	KindWrite:      "write",
+	KindAcquire:    "acquire",
+	KindRelease:    "release",
+	KindSend:       "send",
+	KindReceive:    "receive",
+	KindWait:       "wait",
+	KindNotify:     "notify",
+	KindSpawn:      "spawn",
+	KindExit:       "exit",
 	KindFault:      "fault",
 	KindRestart:    "restart",
 	KindBecome:     "become",
