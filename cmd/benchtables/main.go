@@ -19,8 +19,8 @@
 // with observability off, on at the default sampling rate, with the
 // conservation ledger, and timing every message — and -json-obs writes it
 // to FILE (committed baseline: BENCH_obs.json; see docs/OBSERVABILITY.md).
-// -wire appends the wire hot-path table — streaming codec vs self-contained
-// gob, micro costs and end-to-end floods — and -json-wire writes it to FILE
+// -wire appends the wire hot-path table — streaming codec micro costs and
+// end-to-end floods — and -json-wire writes it to FILE
 // (committed baseline: BENCH_wire.json; see docs/REMOTE.md).
 // -overload appends the overload-protection table — achieved throughput,
 // ask p99, and shed volume at 1×/4×/16× the sink's service rate under

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -20,24 +19,8 @@ import (
 // bought stays visible as a number, not a changelog anecdote.
 const pr3MemFloodBaseline = 28288.85 // msgs/sec
 
-// measureAllocs runs fn n times and returns (ns/op, allocs/op).
-func measureAllocs(n int, fn func()) (float64, float64) {
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		fn()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	return float64(elapsed.Nanoseconds()) / float64(n),
-		float64(after.Mallocs-before.Mallocs) / float64(n)
-}
-
-// wireFlood measures one-way Tell throughput (msgs/sec) between two nodes
-// using the given codec on both ends.
-func wireFlood(mem bool, mkCodec func() remote.Codec, n int) (float64, error) {
+// wireFlood measures one-way Tell throughput (msgs/sec) between two nodes.
+func wireFlood(mem bool, n int) (float64, error) {
 	var ta, tb remote.Transport
 	addrA, addrB := "127.0.0.1:0", "127.0.0.1:0"
 	if mem {
@@ -47,12 +30,12 @@ func wireFlood(mem bool, mkCodec func() remote.Codec, n int) (float64, error) {
 	} else {
 		ta, tb = remote.TCPTransport{}, remote.TCPTransport{}
 	}
-	na, err := remote.NewNode(remote.Config{ListenAddr: addrA, Transport: ta, Codec: mkCodec(), OutboxCap: n + 16})
+	na, err := remote.NewNode(remote.Config{ListenAddr: addrA, Transport: ta, OutboxCap: n + 16})
 	if err != nil {
 		return 0, err
 	}
 	defer na.Close()
-	nb, err := remote.NewNode(remote.Config{ListenAddr: addrB, Transport: tb, Codec: mkCodec()})
+	nb, err := remote.NewNode(remote.Config{ListenAddr: addrB, Transport: tb})
 	if err != nil {
 		return 0, err
 	}
@@ -85,10 +68,10 @@ func wireFlood(mem bool, mkCodec func() remote.Codec, n int) (float64, error) {
 }
 
 // wireTable prints the wire hot-path numbers — codec micro-costs and
-// old-vs-new end-to-end floods — and returns them for the -json-wire
-// baseline (BENCH_wire.json).
+// end-to-end floods — and returns them for the -json-wire baseline
+// (BENCH_wire.json).
 func wireTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("WIRE HOT PATH: streaming codec vs self-contained gob (docs/REMOTE.md)",
+	t := metrics.NewTable("WIRE HOT PATH: streaming codec (docs/REMOTE.md)",
 		"Case", "value", "allocs/op")
 	var entries []benchEntry
 	add := func(name, metric string, value, allocs float64, format string) {
@@ -105,43 +88,19 @@ func wireTable(reps, scale int) []benchEntry {
 	}
 	micro := 200000 / scale
 
-	// Frame encode, old path: one self-contained gob document per frame.
-	gobCodec := remote.GobCodec{}
-	oldFrame, err := gobCodec.Encode(env)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: gob encode: %v\n", err)
-		os.Exit(1)
-	}
-	nsOp, allocs := measureAllocs(micro, func() {
-		if _, err := gobCodec.Encode(env); err != nil {
-			panic(err)
-		}
-	})
-	add("frame encode, self-contained gob", "ns/op", nsOp, allocs, "%.0f ns/op")
-	add("frame size, self-contained gob", "bytes/frame", float64(len(oldFrame)), 0, "%.0f B")
-
-	nsOp, allocs = measureAllocs(micro, func() {
-		if _, err := gobCodec.Decode(oldFrame); err != nil {
-			panic(err)
-		}
-	})
-	add("frame decode, self-contained gob", "ns/op", nsOp, allocs, "%.0f ns/op")
-
-	// Frame encode, new path: binary header + streaming payload session.
-	// Sessions are exercised through a live mem-transport pair below; here
-	// the public surface that isolates the codec cost is the envelope codec
-	// benchmark hook.
+	// Frame encode and decode: binary header + streaming payload session,
+	// isolated from the link through the benchmark hooks.
 	newNs, newAllocs, newBytes := remote.BenchStreamEncode(micro, env)
 	add("frame encode, streaming codec", "ns/op", newNs, newAllocs, "%.0f ns/op")
 	add("frame size, streaming codec", "bytes/frame", newBytes, 0, "%.0f B")
 	decNs, decAllocs := remote.BenchStreamDecode(micro, env)
 	add("frame decode, streaming codec", "ns/op", decNs, decAllocs, "%.0f ns/op")
 
-	// End-to-end floods, old codec vs new, on both transports.
-	flood := func(name string, mem bool, mk func() remote.Codec, n int) float64 {
+	// End-to-end floods on both transports.
+	flood := func(name string, mem bool, n int) float64 {
 		var rate float64
 		_, err := timeMedian(reps, func() error {
-			r, err := wireFlood(mem, mk, n)
+			r, err := wireFlood(mem, n)
 			rate = r
 			return err
 		})
@@ -154,18 +113,13 @@ func wireTable(reps, scale int) []benchEntry {
 		return rate
 	}
 	fn := 20000 / scale
-	gobMem := flood("tell flood mem, self-contained gob", true, func() remote.Codec { return remote.GobCodec{} }, fn)
-	strMem := flood("tell flood mem, streaming codec", true, func() remote.Codec { return remote.NewStreamCodec() }, fn)
-	gobTCP := flood("tell flood tcp, self-contained gob", false, func() remote.Codec { return remote.GobCodec{} }, fn)
-	strTCP := flood("tell flood tcp, streaming codec", false, func() remote.Codec { return remote.NewStreamCodec() }, fn)
+	strMem := flood("tell flood mem, streaming codec", true, fn)
+	flood("tell flood tcp, streaming codec", false, fn)
 
-	speedup := func(name string, before, after float64) {
-		t.AddRow(name, fmt.Sprintf("%.2fx", after/before), "-")
-		entries = append(entries, benchEntry{Name: name, Metric: "speedup", Value: after / before})
-	}
-	speedup("mem flood speedup (stream vs gob)", gobMem, strMem)
-	speedup("tcp flood speedup (stream vs gob)", gobTCP, strTCP)
-	speedup("mem flood vs committed pre-rewrite baseline", pr3MemFloodBaseline, strMem)
+	speedup := strMem / pr3MemFloodBaseline
+	name := "mem flood vs committed pre-rewrite baseline"
+	t.AddRow(name, fmt.Sprintf("%.2fx", speedup), "-")
+	entries = append(entries, benchEntry{Name: name, Metric: "speedup", Value: speedup})
 
 	fmt.Print(t)
 	return entries
@@ -181,8 +135,8 @@ func writeWireBaseline(path string, scale int, entries []benchEntry) error {
 		Entries []benchEntry `json:"entries"`
 	}{
 		Note: "Wire hot-path baseline: streaming codec + pooled buffers + send " +
-			"coalescing vs the self-contained gob path. Machine-dependent: compare " +
-			"the speedup and allocs/op entries, not absolute rates. The " +
+			"coalescing. Machine-dependent: compare the speedup and allocs/op " +
+			"entries, not absolute rates. The " +
 			"'vs committed pre-rewrite baseline' entry is relative to the " +
 			"BENCH_remote.json mem flood recorded before the rewrite.",
 		Command: "go run ./cmd/benchtables -wire -json-wire BENCH_wire.json",

@@ -189,6 +189,9 @@ func TestSustainedOverloadChaos(t *testing.T) {
 		window    = 256
 		outboxCap = 128
 		sinkDelay = 100 * time.Microsecond // service rate ≈ 10k msgs/sec
+		// spikeProbes is how many probe Asks must complete before the
+		// spike may end.
+		spikeProbes = 10
 	)
 	net := NewMemNetwork()
 	// Wire delays only — drops would make the delivery ledger inexact.
@@ -249,12 +252,16 @@ func TestSustainedOverloadChaos(t *testing.T) {
 	// probes alike — so the conservation ledger can be exact. Atomic: the
 	// asker goroutine contributes concurrently with the flood.
 	var offered atomic.Int64
-	// pacedFlood offers `count` messages at one message per `pace`,
-	// busy-waiting in small sleeps so the offered rate is accurate even
-	// under -race.
-	pacedFlood := func(count int, pace time.Duration) {
+	// probes counts the asker's completed probe Asks (spike phase only).
+	var probes atomic.Int64
+	// pacedFlood offers at least `count` messages at one message per
+	// `pace`, busy-waiting in small sleeps so the offered rate is accurate
+	// even under -race, and keeps offering until `minProbes` probe Asks have
+	// completed — the flood is counted, not timed, so a slow machine
+	// stretches it instead of ending it before the probes have run.
+	pacedFlood := func(count int, pace time.Duration, minProbes int64) {
 		start := time.Now()
-		for i := 0; i < count; i++ {
+		for i := 0; i < count || probes.Load() < minProbes; i++ {
 			for time.Since(start) < time.Duration(i)*pace {
 				time.Sleep(10 * time.Microsecond)
 			}
@@ -281,7 +288,7 @@ func TestSustainedOverloadChaos(t *testing.T) {
 	// Phase 1 — baseline: offer exactly the service rate.
 	base := sinkSeen.Load()
 	baseStart := time.Now()
-	pacedFlood(1000, sinkDelay)
+	pacedFlood(1000, sinkDelay, 0)
 	settle("baseline")
 	rate1 := float64(sinkSeen.Load()-base) / time.Since(baseStart).Seconds()
 
@@ -290,7 +297,8 @@ func TestSustainedOverloadChaos(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	// Phase 2 — spike: 4× the service rate with wire chaos open, while a
-	// concurrent asker probes end-to-end latency.
+	// concurrent asker probes end-to-end latency. The spike lasts until the
+	// flood is done and spikeProbes probes have completed.
 	chaos.Open()
 	askDone := make(chan struct{})
 	askStop := make(chan struct{})
@@ -308,6 +316,7 @@ func TestSustainedOverloadChaos(t *testing.T) {
 			offered.Add(1) // the probe is a tPing at the same sink
 			_, err := actors.Ask(a.System(), ref, tPing{N: -1}, 250*time.Millisecond)
 			askDurations = append(askDurations, time.Since(s))
+			probes.Add(1)
 			switch err {
 			case nil:
 				okAsks++
@@ -333,7 +342,7 @@ func TestSustainedOverloadChaos(t *testing.T) {
 			}
 		}
 	}()
-	pacedFlood(8000, sinkDelay/4)
+	pacedFlood(8000, sinkDelay/4, spikeProbes)
 	close(askStop)
 	<-askDone
 	<-spikeDone
@@ -395,7 +404,7 @@ func TestSustainedOverloadChaos(t *testing.T) {
 	// to within 10% of the pre-spike measurement.
 	base = sinkSeen.Load()
 	recStart := time.Now()
-	pacedFlood(1000, sinkDelay)
+	pacedFlood(1000, sinkDelay, 0)
 	settle("recovery")
 	rate2 := float64(sinkSeen.Load()-base) / time.Since(recStart).Seconds()
 	t.Logf("baseline %.0f msgs/sec, post-spike %.0f msgs/sec, maxQueue=%d, shed=%d, ask p99=%s (ok=%d overloaded=%d other=%d)",

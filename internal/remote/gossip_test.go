@@ -33,7 +33,7 @@ func (h *chatterHook) from(addr string) []string {
 	return append([]string(nil), h.heard[addr]...)
 }
 
-// TestGossipNegotiationAndExchange: two cluster nodes negotiate CodecVer 4
+// TestGossipNegotiationAndExchange: two cluster nodes both set capGossip
 // and exchange membership digests on the heartbeat cadence, in both
 // directions (each node's dial-out link carries its own gossip).
 func TestGossipNegotiationAndExchange(t *testing.T) {
@@ -83,9 +83,9 @@ func TestGossipNegotiationAndExchange(t *testing.T) {
 	}
 }
 
-// TestGossipInteropWithNonClusterPeer: a cluster node (v4) against a plain
-// streaming peer negotiates down — messages flow, no gossip frames are ever
-// sent, and the non-cluster peer's hook absence is harmless.
+// TestGossipInteropWithNonClusterPeer: a cluster node against a peer without
+// a gossip hook — no gossip frames are ever sent, the hook's absence is
+// harmless, and the connection still meters credits.
 func TestGossipInteropWithNonClusterPeer(t *testing.T) {
 	net := NewMemNetwork()
 	hook := newChatterHook("A")
@@ -98,7 +98,7 @@ func TestGossipInteropWithNonClusterPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	// B has no gossip hook: it acks v3 (credited) at most, never v4.
+	// B has no gossip hook: its ack sets capCredits but not capGossip.
 	b, err := NewNode(Config{
 		ListenAddr: "B", Transport: net.Endpoint("B"),
 		HeartbeatInterval: 2 * time.Millisecond, Seed: 2,
@@ -116,9 +116,9 @@ func TestGossipInteropWithNonClusterPeer(t *testing.T) {
 	if st := a.Stats(); st.GossipFramesSent != 0 {
 		t.Fatalf("cluster node sent %d gossip frames to a non-cluster peer", st.GossipFramesSent)
 	}
-	// The downgraded connection still negotiated credits (v3 ack, Seq>0).
+	// The connection still runs credits (both set capCredits, Seq>0).
 	if st := a.Stats(); st.CreditedConns == 0 {
-		t.Fatalf("v4 dialer against v3 receiver failed to negotiate credits: %+v", st)
+		t.Fatalf("cluster dialer against a non-cluster receiver did not meter credits: %+v", st)
 	}
 }
 

@@ -26,7 +26,7 @@ const (
 // link to us — so inbound traffic here is only heartbeat and hello acks.
 //
 // The outbox carries envelopes, not frames: encoding happens on the writer
-// goroutine, which owns the connection's codec session and one grow-only
+// goroutine, which owns the connection's payload session and one grow-only
 // scratch buffer, so the steady-state send path allocates nothing and the
 // writer can coalesce every ready envelope into a single buffered write
 // with one flush when the queue goes empty (Nagle without the delay).
@@ -153,21 +153,18 @@ func (l *link) run() {
 	}
 }
 
-// connState is the per-connection wire-format state the writer owns. A
-// fresh connection starts on self-contained v1 frames; when the reader sees
-// the peer's FrameHelloAck it sets acked, and the writer upgrades to v2
-// framing (binary header + streaming payload session) from the next frame
-// on. Both formats are distinguishable per frame by the leading byte, so
-// the upgrade needs no synchronization beyond the ordered connection.
+// connState is the per-connection wire state the writer owns: the outbound
+// payload session, a scratch buffer, and the capabilities the peer's
+// FrameHelloAck turned on (reader → writer). Until the ack arrives every
+// capability is off: messages flow unmetered and spans are sealed at the
+// wire boundary.
 type connState struct {
-	acked   atomic.Bool // reader → writer: peer granted streaming
-	v2      bool        // writer-local: upgrade performed
 	sess    *encSession
 	scratch []byte // grow-only encode buffer, reused for every frame
 
 	// Credit flow control (all connection-scoped; a reconnect starts from
-	// zero on both ends, like the codec session). credited flips when the
-	// peer's hello-ack carries codecVerCredited; granted is the peer's
+	// zero on both ends, like the payload session). credited flips when the
+	// peer's hello-ack sets capCredits; granted is the peer's
 	// cumulative grant (reader → writer, monotonic); consumed counts
 	// FrameMsg written since the connection opened (writer-owned, atomic
 	// only so the credits gauge can read it). available = granted−consumed;
@@ -178,15 +175,15 @@ type connState struct {
 	consumed atomic.Int64
 	creditCh chan struct{}
 
-	// clusterOK flips when the peer's hello-ack echoes codecVerCluster:
-	// this connection may carry FrameGossip (reader → writer, like acked).
+	// clusterOK flips when the peer's hello-ack sets capGossip: this
+	// connection may carry FrameGossip.
 	clusterOK atomic.Bool
 
-	// tracedOK flips when the peer's hello-ack echoes codecVerTraced: this
+	// tracedOK flips when the peer's hello-ack sets capTraced: this
 	// connection's FrameMsg may carry migrating trace spans. Until then —
-	// and forever against older peers — the writer seals any span at the
-	// wire boundary instead (the trace ends here, but what was measured is
-	// kept).
+	// and forever against an untraced peer — the writer seals any span at
+	// the wire boundary instead (the trace ends here, but what was measured
+	// is kept).
 	tracedOK atomic.Bool
 }
 
@@ -217,52 +214,38 @@ func (cs *connState) grant(g int64) {
 // timeout, or the node closes.
 func (l *link) serve(conn Conn) {
 	n := l.n
-	hello := &WireEnvelope{Kind: FrameHello, FromAddr: n.addr, Lamport: n.clock.Tick()}
-	if _, ok := n.codec.(sessionCodec); ok {
-		hello.CodecVer = codecVerStreaming
-		if n.creditsOn() {
-			hello.CodecVer = codecVerCredited
-		}
-		if n.gossipOn() {
-			hello.CodecVer = codecVerCluster
-		}
-		if n.tracedOn() {
-			hello.CodecVer = codecVerTraced
-		}
-	}
-	data, err := n.codec.Encode(hello)
-	if err != nil {
-		n.encodeErrs.Add(1)
+	cs := &connState{sess: newEncSession(), creditCh: make(chan struct{}, 1)}
+	cs.scratch = appendEnvelope(nil, &WireEnvelope{
+		Kind: FrameHello, Flags: n.caps, FromAddr: n.addr, Lamport: n.clock.Tick(),
+	})
+	if err := conn.Send(cs.scratch); err != nil {
 		return
 	}
-	if err := conn.Send(data); err != nil {
-		return
-	}
-	n.bytesSent.Add(int64(len(data)))
+	n.bytesSent.Add(int64(len(cs.scratch)))
 	l.lastRecv.Store(time.Now().UnixNano())
 	l.state.Store(linkUp)
 	l.notify(true)
-
-	cs := &connState{creditCh: make(chan struct{}, 1)}
 	l.cs.Store(cs)
 	defer l.cs.Store(nil)
 
 	// Reader: the only inbound traffic on a dial-out connection is hello
-	// acks, heartbeat acks, and credit grants, consumed as liveness
-	// evidence (plus the codec upgrade signal and clock merges). It exits
-	// when the connection closes from either side.
+	// acks, heartbeat acks, and credit grants — header-only frames,
+	// consumed as liveness evidence, capability bits and clock merges. It
+	// exits when the connection closes from either side.
 	readErr := make(chan struct{})
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		defer close(readErr)
+		var cache internTable
 		for {
 			frame, err := conn.Recv()
 			if err != nil {
 				return
 			}
 			n.bytesRecv.Add(int64(len(frame)))
-			w, derr := l.decodeInbound(frame)
+			var w WireEnvelope
+			_, derr := decodeEnvelopeInto(&w, frame, &cache)
 			putFrame(frame)
 			if derr != nil {
 				n.decodeErrs.Add(1)
@@ -273,28 +256,21 @@ func (l *link) serve(conn Conn) {
 			l.lastRecv.Store(now)
 			switch w.Kind {
 			case FrameHelloAck:
-				if w.CodecVer >= codecVerStreaming {
-					cs.acked.Store(true)
-				}
-				if w.CodecVer >= codecVerCredited && n.creditsOn() && w.Seq > 0 {
-					// The credited ack's Seq is the initial window. Order
-					// matters for the gauge only: grant before flipping
-					// credited so a gauge read never sees credited with a
-					// zero window it would misread as a stall. A v4 ack with
-					// Seq 0 is a cluster peer that does not meter — arming
-					// credits off an empty grant would park the writer
-					// forever, so metering stays off.
+				both := w.Flags & n.caps
+				if both&capCredits != 0 && w.Seq > 0 {
+					// The ack's Seq is the initial window. Order matters
+					// for the gauge only: grant before flipping credited so
+					// a gauge read never sees credited with a zero window it
+					// would misread as a stall. Arming credits off an empty
+					// grant would park the writer forever, so a zero Seq
+					// leaves metering off.
 					cs.grant(int64(w.Seq))
 					if cs.credited.CompareAndSwap(false, true) {
 						n.creditedConns.Add(1)
 					}
 				}
-				if w.CodecVer >= codecVerCluster && n.gossipOn() {
-					cs.clusterOK.Store(true)
-				}
-				if w.CodecVer >= codecVerTraced && n.tracedOn() {
-					cs.tracedOK.Store(true)
-				}
+				cs.clusterOK.Store(both&capGossip != 0)
+				cs.tracedOK.Store(both&capTraced != 0)
 			case FrameCredit:
 				n.creditFramesRecv.Add(1)
 				cs.grant(int64(w.Seq))
@@ -372,7 +348,7 @@ func (l *link) serve(conn Conn) {
 }
 
 // tick runs one heartbeat-interval maintenance pass: the peer-silence check
-// plus a pre-encoded probe (a static frame, not a codec round trip). False
+// plus a pre-encoded probe (a static frame, not an encode). False
 // means the connection is dead or the peer timed out; the caller tears it
 // down.
 func (l *link) tick(conn Conn, cs *connState) bool {
@@ -382,18 +358,13 @@ func (l *link) tick(conn Conn, cs *connState) bool {
 		n.hbTimeouts.Add(1)
 		return false
 	}
-	cs.maybeUpgrade(n)
-	hb := n.statics().heartbeat(cs.v2)
-	if hb == nil {
-		return true // codec could not encode a heartbeat at init
-	}
 	l.hbSentAt.Store(time.Now().UnixNano())
-	if err := conn.Send(hb); err != nil {
+	if err := conn.Send(n.hbFrame); err != nil {
 		return false
 	}
-	n.bytesSent.Add(int64(len(hb)))
+	n.bytesSent.Add(int64(len(n.hbFrame)))
 	// Membership gossip rides the same cadence: one digest per tick, on
-	// connections whose hello-ack granted codecVerCluster. The digest is
+	// connections where both ends set capGossip. The digest is
 	// opaque bytes in the To field — a self-contained frame, so a drop costs
 	// one round of dissemination, never the payload session. Encoded into
 	// the writer-owned scratch buffer (tick runs on the manager goroutine,
@@ -414,44 +385,6 @@ func (l *link) tick(conn Conn, cs *connState) bool {
 	return true
 }
 
-// decodeInbound parses one ack-direction frame, routing by the leading byte:
-// tagged frames are v2 binary (no payload ever travels toward a dialer),
-// untagged ones go through the self-contained codec.
-func (l *link) decodeInbound(frame []byte) (WireEnvelope, error) {
-	if len(frame) > 0 && frame[0] == frameTagBinary {
-		var w WireEnvelope
-		if _, err := decodeEnvelopeInto(&w, frame, nil); err != nil {
-			return WireEnvelope{}, err
-		}
-		return w, nil
-	}
-	w, err := l.n.codec.Decode(frame)
-	if err != nil {
-		return WireEnvelope{}, err
-	}
-	return *w, nil
-}
-
-// maybeUpgrade flips the connection to v2 framing once the peer's hello-ack
-// has arrived, creating the outbound payload session — unless the transport
-// is in record/replay mode. A streaming session's frames are decodable only
-// in encode order (gob type descriptors ride the first frame that needs
-// them), which is exactly what the replayer's reorder buffer violates when
-// it forces a divergent re-execution back into the recorded content order.
-// Determinism mode therefore keeps every frame self-contained: reorderable,
-// and byte-comparable between the recorded and replayed runs.
-func (cs *connState) maybeUpgrade(n *Node) {
-	if cs.v2 || !cs.acked.Load() {
-		return
-	}
-	if st, ok := n.tr.(contentStamper); ok && st.stampContent() {
-		return
-	}
-	cs.v2 = true
-	cs.sess = n.codec.(sessionCodec).newEncSession()
-	n.streamConns.Add(1)
-}
-
 // writeBatch drains every envelope that is already queued — starting with
 // first, which the caller just dequeued (or un-parked) — encodes each into
 // one frame, and pushes them all through the connection with a single flush
@@ -462,20 +395,18 @@ func (cs *connState) maybeUpgrade(n *Node) {
 // On a credited connection each message costs one credit; when the window
 // runs dry mid-batch the current envelope is returned as pending — what was
 // already encoded still flushes — and the caller parks until the peer
-// grants more. ok == false means the connection is dead or the codec
+// grants more. ok == false means the connection is dead or the payload
 // session is poisoned; the caller tears the connection down and the manager
 // loop redials.
 func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pending *WireEnvelope, ok bool) {
 	n := l.n
 	bw, buffered := conn.(BufferedConn)
-	cs.maybeUpgrade(n)
 	w := first
 	frames := int64(0)
 	for {
-		if w.Kind == FrameMsg && w.span != nil && (!cs.v2 || !cs.tracedOK.Load()) {
-			// The peer cannot adopt spans (pre-v5, or the self-contained
-			// fallback format, whose gob encoding never carries the
-			// unexported field): the trace ends at this node's wire
+		if w.Kind == FrameMsg && w.span != nil && !cs.tracedOK.Load() {
+			// The peer cannot adopt spans (it is untraced, or its ack has
+			// not arrived yet): the trace ends at this node's wire
 			// boundary. Charge the outbox wait to the wire stage and seal,
 			// so partial traces still attribute what they saw.
 			now := trace.SpanNow()
@@ -493,43 +424,31 @@ func (l *link) writeBatch(conn Conn, cs *connState, first *WireEnvelope) (pendin
 			n.creditStalls.Add(1)
 			break
 		}
-		var frame []byte
 		var err error
-		if cs.v2 {
-			cs.scratch, err = cs.sess.appendFrame(cs.scratch[:0], w)
-			frame = cs.scratch
-		} else {
-			frame, err = n.codec.Encode(w)
-		}
+		cs.scratch, err = cs.sess.appendFrame(cs.scratch[:0], w)
 		isMsg := w.Kind == FrameMsg
 		putEnvelope(w)
 		if err != nil {
+			// The payload session may hold a half-recorded type
+			// descriptor; the stream is no longer trustworthy.
 			n.encodeErrs.Add(1)
-			if cs.v2 {
-				// The payload session may hold a half-recorded type
-				// descriptor; the stream is no longer trustworthy.
-				return nil, false
-			}
-			// Self-contained frames are independent: drop this one, keep
-			// draining.
-		} else {
-			var serr error
-			if buffered {
-				serr = bw.SendBuffered(frame)
-			} else {
-				serr = conn.Send(frame)
-			}
-			if serr != nil {
-				return nil, false
-			}
-			n.bytesSent.Add(int64(len(frame)))
-			if isMsg {
-				// Consume the credit only for frames actually written:
-				// both ends count FrameMsg since the connection opened.
-				cs.consumed.Add(1)
-			}
-			frames++
+			return nil, false
 		}
+		if buffered {
+			err = bw.SendBuffered(cs.scratch)
+		} else {
+			err = conn.Send(cs.scratch)
+		}
+		if err != nil {
+			return nil, false
+		}
+		n.bytesSent.Add(int64(len(cs.scratch)))
+		if isMsg {
+			// Consume the credit only for frames actually written: both
+			// ends count FrameMsg since the connection opened.
+			cs.consumed.Add(1)
+		}
+		frames++
 		select {
 		case w = <-l.outbox:
 			continue

@@ -25,10 +25,6 @@ type Config struct {
 	ListenAddr string
 	// Transport moves frames (required).
 	Transport Transport
-	// Codec encodes envelopes (default NewStreamCodec(), which negotiates
-	// the v2 streaming wire format per connection and falls back to
-	// self-contained gob frames against peers that don't support it).
-	Codec Codec
 	// System is the actor system the node serves. When nil, the node
 	// creates one with default config and shuts it down on Close.
 	System *actors.System
@@ -51,9 +47,10 @@ type Config struct {
 	// CreditWindow is the per-connection credit window this node grants to
 	// credited peers: the number of messages a sender may have in flight
 	// beyond what this node has already received (default 1024; negative
-	// disables credits entirely, making the node behave like a pre-credit
-	// peer). Both directions of a node pair negotiate independently — each
-	// receiver meters its own inbound connection. The window bounds
+	// disables credits entirely: the node clears capCredits, so neither
+	// direction of a link to it is metered). Both directions of a node
+	// pair decide independently — each receiver meters its own inbound
+	// connection. The window bounds
 	// receiver-side queue growth per link; senders that exhaust it park
 	// their link writer, and once the outbox also fills, sends deadletter
 	// as Overloaded instead of buffering without bound.
@@ -63,10 +60,10 @@ type Config struct {
 	// cross-node traces can be merged into one causal diagram. Off by
 	// default: the log grows with traffic.
 	RecordWire bool
-	// Gossip, when set (and the codec supports sessions), makes the node
-	// advertise codecVerCluster and piggyback membership digests on its
-	// heartbeat cadence: every heartbeat tick on a dial-out link whose peer
-	// granted v4 also carries one FrameGossip with GossipDigest's bytes, and
+	// Gossip, when set, makes the node set capGossip and piggyback
+	// membership digests on its heartbeat cadence: every heartbeat tick on a
+	// dial-out link whose peer also set capGossip carries one FrameGossip
+	// with GossipDigest's bytes, and
 	// every inbound FrameGossip is handed to OnGossip. Digests are opaque to
 	// this layer — internal/cluster owns their encoding. Both hook methods
 	// run on link goroutines and must not block.
@@ -95,9 +92,6 @@ type GossipHook interface {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Codec == nil {
-		c.Codec = NewStreamCodec()
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 250 * time.Millisecond
 	}
@@ -133,8 +127,15 @@ type Node struct {
 	tr     Transport
 	lis    Listener
 	addr   string
-	codec  Codec
 	clock  trace.LamportClock
+
+	// caps is this node's capability bitmask (capCredits, capGossip,
+	// capTraced), sent in every hello and hello-ack.
+	caps uint8
+	// Pre-encoded control frames, sent over and over: a tick or an ack is
+	// a lookup instead of an encode. They carry Lamport 0: liveness probes
+	// are not causal events, and Observe(0) is a no-op on the receiver.
+	hbFrame, hbAckFrame, helloAckFrame []byte
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -158,13 +159,12 @@ type Node struct {
 	bytesRecv     atomic.Int64
 	batches       atomic.Int64
 	batchedFrames atomic.Int64
-	streamConns   atomic.Int64
 
 	// Flow-control counters. creditStalls: times a link writer parked on an
 	// empty window; creditFramesSent/Recv: FrameCredit traffic (sent as
 	// receiver, received as sender); creditsGranted: cumulative messages
 	// worth of credit issued; outboxOverflows: sends shed because a live
-	// link's outbox was full; creditedConns: connections negotiated to the
+	// link's outbox was full; creditedConns: connections running the
 	// credited protocol (either direction); inboundShed: inbound messages
 	// shed because the target's bounded mailbox was full (the reader never
 	// blocks — see dispatch).
@@ -184,9 +184,6 @@ type Node struct {
 	// links created later still get their per-link gauges (guarded by mu).
 	metricsReg    *metrics.Registry
 	metricsPrefix string
-
-	staticsOnce sync.Once
-	staticFr    *staticFrames
 
 	// rtt, when set (RegisterMetrics), receives heartbeat round-trip times
 	// measured on every dial-out link. An atomic pointer so links read it
@@ -217,7 +214,6 @@ func NewNode(cfg Config) (*Node, error) {
 		tr:      cfg.Transport,
 		lis:     lis,
 		addr:    lis.Addr(),
-		codec:   cfg.Codec,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 0x9e37)),
 		links:   map[string]*link{},
 		names:   map[string]*actors.Ref{},
@@ -228,6 +224,22 @@ func NewNode(cfg Config) (*Node, error) {
 		n.sys = actors.NewSystem(actors.Config{})
 		n.ownSys = true
 	}
+	var window uint64
+	if cfg.CreditWindow > 0 {
+		n.caps |= capCredits
+		window = uint64(cfg.CreditWindow)
+	}
+	if cfg.Gossip != nil {
+		n.caps |= capGossip
+	}
+	if n.sys.Tracer() != nil {
+		n.caps |= capTraced
+	}
+	n.hbFrame = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat, FromAddr: n.addr})
+	n.hbAckFrame = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr})
+	n.helloAckFrame = appendEnvelope(nil, &WireEnvelope{
+		Kind: FrameHelloAck, Flags: n.caps, FromAddr: n.addr, Seq: window,
+	})
 	n.wg.Add(1)
 	go n.acceptLoop()
 	return n, nil
@@ -236,39 +248,6 @@ func NewNode(cfg Config) (*Node, error) {
 // Addr returns the node's resolved listen address — its identity on the
 // wire.
 func (n *Node) Addr() string { return n.addr }
-
-// creditsOn reports whether this node speaks credit-based flow control
-// (Config.CreditWindow not negative, codec supports sessions).
-func (n *Node) creditsOn() bool {
-	if n.cfg.CreditWindow <= 0 {
-		return false
-	}
-	_, ok := n.codec.(sessionCodec)
-	return ok
-}
-
-// gossipOn reports whether this node speaks membership gossip (a GossipHook
-// is configured and the codec supports sessions — gossip frames only exist
-// in the v2 binary framing).
-func (n *Node) gossipOn() bool {
-	if n.cfg.Gossip == nil {
-		return false
-	}
-	_, ok := n.codec.(sessionCodec)
-	return ok
-}
-
-// tracedOn reports whether this node can migrate trace spans across the wire
-// (its System has a Tracer and the codec supports sessions — span fields only
-// exist in the v2 binary framing). Both sides need a tracer: the dialer to
-// originate and serialize spans, the receiver to adopt them into its ring.
-func (n *Node) tracedOn() bool {
-	if n.sys.Tracer() == nil {
-		return false
-	}
-	_, ok := n.codec.(sessionCodec)
-	return ok
-}
 
 // System returns the actor system this node serves.
 func (n *Node) System() *actors.System { return n.sys }
@@ -373,8 +352,7 @@ type Stats struct {
 	BytesReceived     int64 // frame bytes read (all frame kinds)
 	Batches           int64 // coalesced write batches flushed by link writers
 	BatchedFrames     int64 // application+control frames those batches carried
-	StreamingConns    int64 // connections upgraded to the v2 streaming format
-	CreditedConns     int64 // connections negotiated to credited flow control
+	CreditedConns     int64 // connections running credited flow control
 	CreditStalls      int64 // link writers parked on an exhausted credit window
 	CreditFramesSent  int64 // FrameCredit grants issued to inbound senders
 	CreditFramesRecv  int64 // FrameCredit grants received on dial-out links
@@ -399,7 +377,6 @@ func (n *Node) Stats() Stats {
 		BytesReceived:     n.bytesRecv.Load(),
 		Batches:           n.batches.Load(),
 		BatchedFrames:     n.batchedFrames.Load(),
-		StreamingConns:    n.streamConns.Load(),
 		CreditedConns:     n.creditedConns.Load(),
 		CreditStalls:      n.creditStalls.Load(),
 		CreditFramesSent:  n.creditFramesSent.Load(),
@@ -470,7 +447,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".wire.bytes_received", n.bytesRecv.Load)
 	reg.Gauge(prefix+".wire.batches", n.batches.Load)
 	reg.Gauge(prefix+".wire.batched_frames", n.batchedFrames.Load)
-	reg.Gauge(prefix+".wire.streaming_conns", n.streamConns.Load)
 	reg.Gauge(prefix+".wire.credited_conns", n.creditedConns.Load)
 	reg.Gauge(prefix+".wire.credit_stalls", n.creditStalls.Load)
 	reg.Gauge(prefix+".wire.credit_frames_sent", n.creditFramesSent.Load)
@@ -650,18 +626,17 @@ func (n *Node) acceptLoop() {
 }
 
 // serveConn reads one inbound connection until it closes, answering hellos
-// and heartbeats and dispatching application frames. It routes each frame by
-// its leading byte: v2 binary frames go through the connection's streaming
-// decode session (created when the dialer's hello is granted), self-contained
-// frames through the codec. A session decode error means the stream is
-// desynchronized — typically a lost frame took gob type descriptors with it —
-// so the connection is torn down and the dialer renegotiates on reconnect.
+// and heartbeats and dispatching application frames through the
+// connection's payload decode session. Any decode error — an untagged or
+// malformed frame, or a session desynchronized because a lost frame took gob
+// type descriptors with it — closes the connection; the dialer starts a
+// fresh session pair on reconnect.
 func (n *Node) serveConn(c Conn) {
 	defer n.wg.Done()
 	defer c.Close()
-	var sess *decSession  // non-nil once streaming is granted
-	var cred *creditState // non-nil once credited flow control is granted
-	var env WireEnvelope  // reused decode target for v2 frames
+	sess := newDecSession()
+	var cred *creditState // non-nil once both ends set capCredits
+	var w WireEnvelope    // reused decode target
 	defer func() {
 		if cred != nil {
 			close(cred.closed) // stop any drain watcher
@@ -673,71 +648,29 @@ func (n *Node) serveConn(c Conn) {
 			return
 		}
 		n.bytesRecv.Add(int64(len(frame)))
-		var w *WireEnvelope
-		if len(frame) > 0 && frame[0] == frameTagBinary {
-			if sess == nil {
-				// A tagged frame on a connection that never negotiated
-				// streaming is corruption, not a format the codec knows.
-				putFrame(frame)
-				n.decodeErrs.Add(1)
-				return
-			}
-			env = WireEnvelope{}
-			if err := sess.decodeFrame(frame, &env); err != nil {
-				putFrame(frame)
-				n.decodeErrs.Add(1)
-				return
-			}
-			w = &env
-		} else {
-			var derr error
-			w, derr = n.codec.Decode(frame)
-			if derr != nil {
-				putFrame(frame)
-				n.decodeErrs.Add(1)
-				continue
-			}
-		}
+		w = WireEnvelope{}
+		err = sess.decodeFrame(frame, &w)
 		putFrame(frame)
+		if err != nil {
+			n.decodeErrs.Add(1)
+			return
+		}
 		// Clock merge on receive: the Lamport max-rule, so every frame —
 		// heartbeats included — keeps the two nodes' clocks entangled.
 		lam := n.clock.Observe(w.Lamport)
 		n.received.Add(1)
 		switch w.Kind {
 		case FrameHello:
-			if w.CodecVer >= codecVerStreaming && sess == nil {
-				if sc, ok := n.codec.(sessionCodec); ok {
-					sess = sc.newDecSession()
-					n.streamConns.Add(1)
-					ack := n.statics().helloAck
-					if w.CodecVer >= codecVerCredited && n.creditsOn() {
-						// Credited hello from a credited node: answer with
-						// the credited ack, whose Seq carries the initial
-						// window — the first cumulative grant.
-						cred = newCreditState(n)
-						n.creditedConns.Add(1)
-						n.creditsGranted.Add(cred.granted)
-						ack = n.statics().helloAckCredited
-					}
-					if w.CodecVer >= codecVerCluster && n.gossipOn() {
-						// Cluster hello from a cluster node: the v4 ack
-						// subsumes the credited one (its Seq carries the
-						// window when this node meters, zero when not).
-						ack = n.statics().helloAckCluster
-					}
-					if w.CodecVer >= codecVerTraced && n.tracedOn() {
-						// Traced hello from a traced node: the v5 ack grants
-						// span migration on top of whatever the lower rungs
-						// negotiated (Seq carries the credit window exactly
-						// like the v4 ack; capabilities below v5 stay gated
-						// per-feature on both ends).
-						ack = n.statics().helloAckTraced
-					}
-					// A failed ack write is the dialer's problem to detect.
-					if c.Send(ack) == nil {
-						n.bytesSent.Add(int64(len(ack)))
-					}
-				}
+			if cred == nil && w.Flags&n.caps&capCredits != 0 {
+				// Both ends meter: the ack's Seq carries the initial
+				// window — the first cumulative grant.
+				cred = newCreditState(n)
+				n.creditedConns.Add(1)
+				n.creditsGranted.Add(cred.granted)
+			}
+			// A failed ack write is the dialer's problem to detect.
+			if c.Send(n.helloAckFrame) == nil {
+				n.bytesSent.Add(int64(len(n.helloAckFrame)))
 			}
 		case FrameHeartbeat:
 			if cred != nil {
@@ -747,16 +680,14 @@ func (n *Node) serveConn(c Conn) {
 				// one heartbeat interval.
 				cred.maybeGrant(c, true)
 			}
-			if ack := n.statics().heartbeatAck(sess != nil); ack != nil {
-				if c.Send(ack) == nil {
-					n.bytesSent.Add(int64(len(ack)))
-				}
+			if c.Send(n.hbAckFrame) == nil {
+				n.bytesSent.Add(int64(len(n.hbAckFrame)))
 			}
 		case FrameMsg:
 			if n.cfg.RecordWire {
 				n.recordWire("recv", w.FromAddr, w.Seq, lam, payloadType(w.Payload))
 			}
-			target := n.dispatch(w)
+			target := n.dispatch(&w)
 			if cred != nil {
 				cred.onDelivered(c, target)
 			}
@@ -902,87 +833,6 @@ func (cr *creditState) watchDrain(c Conn) {
 	}
 }
 
-// staticFrames caches the pre-encoded control frames a node sends over and
-// over — heartbeat, heartbeat-ack, hello-ack — in both wire formats, so a
-// tick or an ack is a lookup instead of a codec round trip. They carry
-// Lamport 0: liveness probes are not causal events, and Observe(0) is a
-// no-op on the receiver.
-type staticFrames struct {
-	hbV1, ackV1      []byte // self-contained codec encoding (nil on encode error)
-	hbV2, ackV2      []byte // v2 binary framing (nil when the codec lacks sessions)
-	helloAck         []byte
-	helloAckCredited []byte // credited grant variant; nil when credits are off
-	helloAckCluster  []byte // v4 variant (gossip granted); nil when gossip is off
-	helloAckTraced   []byte // v5 variant (span migration granted); nil when untraced
-}
-
-func (s *staticFrames) heartbeat(v2 bool) []byte {
-	if v2 && s.hbV2 != nil {
-		return s.hbV2
-	}
-	return s.hbV1
-}
-
-func (s *staticFrames) heartbeatAck(v2 bool) []byte {
-	if v2 && s.ackV2 != nil {
-		return s.ackV2
-	}
-	return s.ackV1
-}
-
-func (n *Node) statics() *staticFrames {
-	n.staticsOnce.Do(func() {
-		s := &staticFrames{}
-		if b, err := n.codec.Encode(&WireEnvelope{Kind: FrameHeartbeat, FromAddr: n.addr}); err == nil {
-			s.hbV1 = b
-		} else {
-			n.encodeErrs.Add(1)
-		}
-		if b, err := n.codec.Encode(&WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr}); err == nil {
-			s.ackV1 = b
-		} else {
-			n.encodeErrs.Add(1)
-		}
-		if _, ok := n.codec.(sessionCodec); ok {
-			s.hbV2 = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat, FromAddr: n.addr})
-			s.ackV2 = appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeatAck, FromAddr: n.addr})
-			s.helloAck = appendEnvelope(nil, &WireEnvelope{Kind: FrameHelloAck, FromAddr: n.addr, CodecVer: codecVerStreaming})
-			if n.creditsOn() {
-				s.helloAckCredited = appendEnvelope(nil, &WireEnvelope{
-					Kind: FrameHelloAck, FromAddr: n.addr,
-					CodecVer: codecVerCredited, Seq: uint64(n.cfg.CreditWindow),
-				})
-			}
-			if n.gossipOn() {
-				// The v4 ack carries the credit window in Seq only when this
-				// node meters; Seq 0 tells the dialer gossip-yes, credits-no.
-				var window uint64
-				if n.creditsOn() {
-					window = uint64(n.cfg.CreditWindow)
-				}
-				s.helloAckCluster = appendEnvelope(nil, &WireEnvelope{
-					Kind: FrameHelloAck, FromAddr: n.addr,
-					CodecVer: codecVerCluster, Seq: window,
-				})
-			}
-			if n.tracedOn() {
-				// Same Seq convention as the v4 ack: the credit window when
-				// this node meters, zero when it does not.
-				var window uint64
-				if n.creditsOn() {
-					window = uint64(n.cfg.CreditWindow)
-				}
-				s.helloAckTraced = appendEnvelope(nil, &WireEnvelope{
-					Kind: FrameHelloAck, FromAddr: n.addr,
-					CodecVer: codecVerTraced, Seq: window,
-				})
-			}
-		}
-		n.staticFr = s
-	})
-	return n.staticFr
-}
-
 // dispatch routes one inbound application frame into the local system,
 // returning the resolved target (nil when it deadlettered) so credited
 // connections can track which mailboxes they feed.
@@ -1003,8 +853,9 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 	// Rebuild the migrating span the frame carried: the receiving tracer
 	// adopts the accumulated ledger and the wire stage absorbs everything
 	// since the sender's last mark — outbox wait, encode, flight, decode.
-	// A traced frame landing on a tracerless node (possible after a
-	// reconnect renegotiated down) just drops the ledger.
+	// A traced frame landing on a tracerless node (senders attach spans
+	// only when both ends set capTraced, so only a hand-built frame can)
+	// just drops the ledger.
 	var sp *trace.Span
 	if w.traced {
 		if tr := n.sys.Tracer(); tr != nil {

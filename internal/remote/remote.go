@@ -8,7 +8,7 @@
 // mailbox pointer.
 //
 // A Node owns one listener plus dial-out links to its peers. Links carry
-// length-prefixed frames encoded by a Codec (gob by default), heartbeat
+// length-prefixed binary frames (wirecodec.go) with gob payloads, heartbeat
 // while idle, and reconnect with jittered exponential backoff when the peer
 // goes away. Sends to an unreachable peer never block: they route to the
 // owning System's deadletter contract (kind actors.DLRemote), which is also
@@ -37,7 +37,8 @@ type FrameKind uint8
 
 const (
 	// FrameHello opens a connection: it announces the dialer's listen
-	// address and seeds the receiver's Lamport clock.
+	// address and capability bits (Flags) and seeds the receiver's Lamport
+	// clock.
 	FrameHello FrameKind = iota + 1
 	// FrameMsg carries one application envelope.
 	FrameMsg
@@ -47,27 +48,24 @@ const (
 	// FrameHeartbeatAck answers a heartbeat; receiving any frame (ack
 	// included) refreshes the dialer's liveness horizon.
 	FrameHeartbeatAck
-	// FrameHelloAck answers a FrameHello whose CodecVer requested the
-	// streaming wire format, granting it for this connection. Nodes that
-	// predate v2 framing never send one, which is exactly how a streaming
-	// dialer discovers it must stay on self-contained frames.
+	// FrameHelloAck answers a FrameHello with the receiver's capability
+	// bits (Flags) and, when it meters credits, its initial credit window
+	// in Seq. A capability is on for the connection when both ends set it.
 	FrameHelloAck
 	// FrameCredit returns flow-control credits to the sender: Seq carries
 	// the receiver's cumulative grant (total messages the sender may have
 	// sent on this connection since it opened). Grants only ever travel
-	// ack-direction (receiver → dialer), only on connections whose hello
-	// negotiated codecVerCredited, and are cumulative so a lost credit
-	// frame is healed by the next one. Peers that predate credits never
-	// send or receive one.
+	// ack-direction (receiver → dialer), only on connections where both
+	// ends set capCredits, and are cumulative so a lost credit frame is
+	// healed by the next one.
 	FrameCredit
 	// FrameGossip piggybacks a cluster-membership digest on the heartbeat
 	// cadence (internal/cluster): each heartbeat tick on a dial-out link
-	// whose hello negotiated codecVerCluster may carry one. The digest
-	// travels as opaque bytes in the To header field — not in Payload — so
-	// gossip frames stay self-contained: a dropped digest never
-	// desynchronizes the streaming payload session, and the next tick's
-	// digest supersedes it (gossip state is convergent, not incremental).
-	// Peers that predate clustering never negotiate v4 and never see one.
+	// where both ends set capGossip may carry one. The digest travels as
+	// opaque bytes in the To header field — not in Payload — so gossip
+	// frames stay self-contained: a dropped digest never desynchronizes the
+	// streaming payload session, and the next tick's digest supersedes it
+	// (gossip state is convergent, not incremental).
 	FrameGossip
 )
 
@@ -92,18 +90,16 @@ func (k FrameKind) String() string {
 	}
 }
 
-// WireEnvelope is the unit a Codec encodes into one frame. Application
-// payloads travel in Payload and must be registered with the codec (see
-// RegisterType for the gob default).
+// WireEnvelope is the unit encoded into one frame. Application payloads
+// travel in Payload and must be registered with RegisterType.
 type WireEnvelope struct {
 	Kind FrameKind
 
-	// CodecVer negotiates the wire format: a dialer whose codec supports
-	// streaming sessions advertises codecVerStreaming in its FrameHello,
-	// and the receiver echoes it in FrameHelloAck to grant the upgrade.
-	// Zero everywhere else (and everywhere on pre-v2 nodes, whose gob
-	// decoders simply never see the field).
-	CodecVer uint8
+	// Flags is the header's flag byte: the sender's capability bits
+	// (capCredits, capGossip, capTraced) on FrameHello and FrameHelloAck,
+	// codec-owned flag bits (msgFlagTraced, msgFlagSelfContained) on
+	// FrameMsg, zero elsewhere.
+	Flags uint8
 
 	// Addressing: To names a recipient in the receiving node's registry;
 	// ToID addresses a specific actor by raw ID (reply routing). Exactly
@@ -133,19 +129,18 @@ type WireEnvelope struct {
 	// run's frames may be batched and sequenced differently, but their
 	// contents match the recorded ones. Stamped by forward() only while a
 	// recording (or replay) with content IDs is active — zero otherwise, so
-	// steady-state traffic pays one header byte and no hashing.
+	// steady-state traffic pays one header byte and no hashing. A FrameMsg
+	// with a fingerprint is encoded self-contained (msgFlagSelfContained),
+	// which is what lets the replayer reorder it.
 	Content uint64
 
 	// Payload is the application message (FrameMsg only).
 	Payload any
 
 	// span is the in-flight distributed trace span migrating with this
-	// envelope, if the message is sampled and the connection negotiated
-	// codecVerTraced. Unexported on purpose: the v1 gob codec reflects only
-	// exported fields, so pre-trace peers never see it — traced nodes talk
-	// to them with spans sealed at the wire boundary instead. The binary
-	// codec carries it explicitly (wirecodec.go) when the frame's traced
-	// flag bit is set.
+	// envelope, if the message is sampled and both ends of the connection
+	// set capTraced. The binary codec carries it explicitly (wirecodec.go)
+	// behind the frame's msgFlagTraced bit.
 	span *trace.Span
 
 	// Inbound side of the migration: the binary decoder parses the span

@@ -434,26 +434,15 @@ func contentHash(name string, id uint64, payload any) uint64 {
 
 // msgFrameInfo classifies one frame and extracts its content fingerprint:
 // (true, content) for application messages, (false, 0) for control traffic.
-// v2 frames are parsed from their binary header; untagged frames fall back
-// to a self-contained gob decode (negotiation and v1 peers). Undecodable
-// frames are treated as control traffic and pass unscheduled.
+// Only the binary header is parsed; frames that are not FrameMsg, or not
+// frames at all, pass unscheduled as control traffic.
 func msgFrameInfo(frame []byte) (bool, uint64) {
-	if len(frame) == 0 {
+	if len(frame) < 2 || frame[0] != frameTagBinary || FrameKind(frame[1]) != FrameMsg {
 		return false, 0
 	}
-	if frame[0] == frameTagBinary {
-		if len(frame) > 1 && FrameKind(frame[1]) == FrameMsg {
-			var w WireEnvelope
-			if _, err := decodeEnvelopeInto(&w, frame, nil); err == nil {
-				return true, w.Content
-			}
-			return true, 0
-		}
-		return false, 0
-	}
-	w, err := GobCodec{}.Decode(frame)
-	if err != nil || w.Kind != FrameMsg {
-		return false, 0
+	var w WireEnvelope
+	if _, err := decodeEnvelopeInto(&w, frame, nil); err != nil {
+		return true, 0
 	}
 	return true, w.Content
 }

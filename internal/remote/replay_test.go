@@ -241,29 +241,27 @@ func TestReplayerGate(t *testing.T) {
 	}
 }
 
-// TestIsMsgFrame pins the frame classifier across both wire formats.
+// TestIsMsgFrame pins the frame classifier: message frames, streaming or
+// self-contained, are messages; control frames and anything that is not a
+// binary frame are not.
 func TestIsMsgFrame(t *testing.T) {
-	v2msg := appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, To: "x"})
-	if !isMsgFrame(v2msg) {
-		t.Fatal("v2 FrameMsg not classified as a message")
+	msg := appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, To: "x"})
+	if !isMsgFrame(msg) {
+		t.Fatal("FrameMsg not classified as a message")
 	}
-	v2hb := appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat})
-	if isMsgFrame(v2hb) {
-		t.Fatal("v2 heartbeat classified as a message")
+	hb := appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat})
+	if isMsgFrame(hb) {
+		t.Fatal("heartbeat classified as a message")
 	}
-	gobMsg, err := GobCodec{}.Encode(&WireEnvelope{Kind: FrameMsg, To: "x", Payload: tPing{N: 1}})
+	self, err := newEncSession().appendFrame(nil, &WireEnvelope{Kind: FrameMsg, To: "x", Content: 77, Payload: tPing{N: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isMsgFrame(gobMsg) {
-		t.Fatal("gob FrameMsg not classified as a message")
+	if self[2]&msgFlagSelfContained == 0 {
+		t.Fatal("content-stamped FrameMsg encoded without the self-contained flag")
 	}
-	gobHello, err := GobCodec{}.Encode(&WireEnvelope{Kind: FrameHello})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isMsgFrame(gobHello) {
-		t.Fatal("gob hello classified as a message")
+	if ok, content := msgFrameInfo(self); !ok || content != 77 {
+		t.Fatalf("self-contained FrameMsg: msgFrameInfo = (%v, %d), want (true, 77)", ok, content)
 	}
 	if isMsgFrame(nil) || isMsgFrame([]byte{0x01, 0x02, 0x03}) {
 		t.Fatal("garbage classified as a message")

@@ -7,53 +7,32 @@ import (
 	"io"
 )
 
-// StreamCodec is the default codec: the v2 wire format. Control and
-// negotiation frames (hello, hello-ack, and everything sent before the peer
-// grants streaming) use the embedded self-contained gob encoding, byte-for-
-// byte identical to GobCodec, so a StreamCodec node interoperates with a
-// GobCodec one. Once both ends have agreed on codecVerStreaming via the
-// hello/hello-ack exchange, each link direction runs one long-lived
-// encoder/decoder session: the fixed envelope header goes through the
-// hand-rolled binary codec (wirecodec.go) and only the payload goes through
-// gob — a *streaming* gob, so type descriptors cross the wire once per
+// Payloads cross the wire as gob, behind the binary envelope header
+// (wirecodec.go). Each link direction runs one long-lived encoder/decoder
+// session, so a payload type's descriptors cross the wire once per
 // connection instead of once per frame.
 //
 // The price of streaming is that a session's frames are no longer
 // independent: a frame lost in flight can take a later frame's type
 // descriptors with it. The link layer therefore tears the connection down
-// on any session decode error and renegotiates a fresh session pair on
-// reconnect — which is the honest semantics anyway, since an ordered
-// transport that lost a frame has lost the ordering promise the session
-// was built on.
-type StreamCodec struct {
-	GobCodec // self-contained fallback for negotiation and v1 peers
-}
+// on any session decode error and starts a fresh session pair on reconnect
+// — which is the honest semantics anyway, since an ordered transport that
+// lost a frame has lost the ordering promise the session was built on.
+//
+// Record/replay needs the opposite: the replayer reorders message frames
+// into their recorded order. A FrameMsg that carries a content fingerprint
+// (WireEnvelope.Content, stamped only while the transport records or
+// replays) is therefore encoded self-contained — a fresh gob stream of its
+// own, marked by msgFlagSelfContained — and decodes in any order without
+// touching the session's stream state.
 
-// NewStreamCodec returns the streaming codec. The zero value is also ready
-// to use; the constructor exists to make call sites read well.
-func NewStreamCodec() *StreamCodec { return &StreamCodec{} }
-
-// sessionCodec is the capability a Codec implements to opt into per-link
-// streaming sessions. Nodes probe their configured codec for it when
-// negotiating: a codec without it (GobCodec) keeps the self-contained v1
-// wire format on every connection.
-type sessionCodec interface {
-	Codec
-	newEncSession() *encSession
-	newDecSession() *decSession
-}
-
-func (*StreamCodec) newEncSession() *encSession {
-	s := &encSession{}
-	s.enc = gob.NewEncoder(&s.buf)
-	return s
-}
-
-func (*StreamCodec) newDecSession() *decSession {
-	s := &decSession{}
-	s.dec = gob.NewDecoder(&s.chunk)
-	return s
-}
+// RegisterType registers a payload's concrete type with the wire's gob
+// payload encoding (gob encodes interface values by concrete type name).
+// Call it from an init function in the package that defines the protocol
+// messages; registration is global and idempotent for a given type/name.
+// An unregistered payload fails at encode on the sender, never partway
+// across the wire.
+func RegisterType(v any) { gob.Register(v) }
 
 // encSession is one connection's outbound payload stream. It is owned by
 // the link writer goroutine and is not safe for concurrent use.
@@ -63,18 +42,31 @@ type encSession struct {
 	slot any // reused interface cell so Encode(&slot) never heap-escapes
 }
 
-// appendFrame appends the complete v2 frame for w to buf: binary header,
-// then (for FrameMsg) the payload bytes the session's gob encoder produced.
-// An error poisons the session — gob may have recorded a descriptor it
-// never finished writing — so the caller must tear the connection down.
+func newEncSession() *encSession {
+	s := &encSession{}
+	s.enc = gob.NewEncoder(&s.buf)
+	return s
+}
+
+// appendFrame appends the complete frame for w to buf: binary header, then
+// (for FrameMsg) the payload bytes — from the session's stream, or from a
+// fresh one when w carries a content fingerprint. An error poisons the
+// session — gob may have recorded a descriptor it never finished writing —
+// so the caller must tear the connection down.
 func (s *encSession) appendFrame(buf []byte, w *WireEnvelope) ([]byte, error) {
+	start := len(buf)
 	buf = appendEnvelope(buf, w)
 	if w.Kind != FrameMsg {
 		return buf, nil
 	}
+	enc := s.enc
+	if w.Content != 0 {
+		buf[start+2] |= msgFlagSelfContained
+		enc = gob.NewEncoder(&s.buf)
+	}
 	s.buf.Reset()
 	s.slot = w.Payload
-	err := s.enc.Encode(&s.slot)
+	err := enc.Encode(&s.slot)
 	s.slot = nil
 	if err != nil {
 		return nil, err
@@ -90,7 +82,13 @@ type decSession struct {
 	intern internTable
 }
 
-// decodeFrame parses one v2 frame into w. The payload section must contain
+func newDecSession() *decSession {
+	s := &decSession{}
+	s.dec = gob.NewDecoder(&s.chunk)
+	return s
+}
+
+// decodeFrame parses one frame into w. The payload section must contain
 // exactly the gob messages for one value; leftover or missing bytes mean
 // the stream is desynchronized (typically a frame was lost in flight) and
 // the caller must tear the connection down.
@@ -106,10 +104,14 @@ func (s *decSession) decodeFrame(frame []byte, w *WireEnvelope) error {
 		return nil
 	}
 	s.chunk.rest = frame[n:]
+	dec := s.dec
+	if w.Flags&msgFlagSelfContained != 0 {
+		dec = gob.NewDecoder(&s.chunk)
+	}
 	var payload any
-	if err := s.dec.Decode(&payload); err != nil {
+	if err := dec.Decode(&payload); err != nil {
 		s.chunk.rest = nil
-		return fmt.Errorf("remote: payload session decode: %w", err)
+		return fmt.Errorf("remote: payload decode: %w", err)
 	}
 	if len(s.chunk.rest) != 0 {
 		return fmt.Errorf("remote: %d trailing payload bytes", len(s.chunk.rest))
@@ -118,9 +120,9 @@ func (s *decSession) decodeFrame(frame []byte, w *WireEnvelope) error {
 	return nil
 }
 
-// chunkReader feeds one frame's payload section to the session's gob
-// decoder. gob copies what it reads into its own buffers, so the frame can
-// be recycled as soon as Decode returns.
+// chunkReader feeds one frame's payload section to a gob decoder. gob
+// copies what it reads into its own buffers, so the frame can be recycled
+// as soon as Decode returns.
 type chunkReader struct {
 	rest []byte
 }

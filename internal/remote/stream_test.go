@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,8 +15,7 @@ import (
 // payload survives, including after the first frame has paid the type
 // descriptor cost.
 func TestStreamSessionRoundTrip(t *testing.T) {
-	c := NewStreamCodec()
-	enc, dec := c.newEncSession(), c.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	var buf []byte
 	for i := 0; i < 50; i++ {
 		w := &WireEnvelope{
@@ -41,8 +43,7 @@ func TestStreamSessionRoundTrip(t *testing.T) {
 // TestStreamSessionControlFrames checks non-message frames carry no payload
 // section and reject trailing garbage.
 func TestStreamSessionControlFrames(t *testing.T) {
-	c := NewStreamCodec()
-	dec := c.newDecSession()
+	dec := newDecSession()
 	frame := appendEnvelope(nil, &WireEnvelope{Kind: FrameHeartbeat, FromAddr: "a"})
 	var got WireEnvelope
 	if err := dec.decodeFrame(frame, &got); err != nil {
@@ -60,8 +61,7 @@ func TestStreamSessionControlFrames(t *testing.T) {
 // was cut short errors (the session is then torn down by the link layer)
 // instead of blocking or panicking.
 func TestStreamSessionTruncatedPayload(t *testing.T) {
-	c := NewStreamCodec()
-	enc, dec := c.newEncSession(), c.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	w := &WireEnvelope{Kind: FrameMsg, To: "sink", Payload: tPing{N: 42}}
 	frame, err := enc.appendFrame(nil, w)
 	if err != nil {
@@ -73,36 +73,25 @@ func TestStreamSessionTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TestCodecInterop runs every pairing of the streaming codec and the legacy
-// self-contained GobCodec across a live two-node exchange, in both
-// directions (Tell request, Ask reply), plus a credited node against a
-// streaming-but-uncredited peer. Streaming must engage exactly when both
-// ends support it, credits exactly when both ends are credited, and every
-// pairing must deliver.
+// TestCodecInterop runs a live two-node exchange, in both directions (Tell
+// request, Ask reply), between a credited node and one with credits
+// disabled (CreditWindow: -1), each way round. Credits are on only when
+// both ends set capCredits, so neither direction of either pairing is
+// metered, and every pairing must deliver.
 func TestCodecInterop(t *testing.T) {
 	cases := []struct {
-		name           string
-		codecA, codecB func() Codec
-		creditB        int // 0 = default (on); <0 disables credits on B
-		wantStream     bool
-		wantCredit     bool
+		name             string
+		creditA, creditB int // 0 = default (on); <0 disables credits
 	}{
-		{"stream-stream", func() Codec { return NewStreamCodec() }, func() Codec { return NewStreamCodec() }, 0, true, true},
-		{"stream-gob", func() Codec { return NewStreamCodec() }, func() Codec { return GobCodec{} }, 0, false, false},
-		{"gob-stream", func() Codec { return GobCodec{} }, func() Codec { return NewStreamCodec() }, 0, false, false},
-		{"gob-gob", func() Codec { return GobCodec{} }, func() Codec { return GobCodec{} }, 0, false, false},
-		// A credited dialer against a PR5-era peer (streaming, no credits):
-		// B's hello-ack echoes codecVerStreaming, so A runs the connection
-		// streaming-but-unmetered. Interop, not degradation.
-		{"credited-uncredited", func() Codec { return NewStreamCodec() }, func() Codec { return NewStreamCodec() }, -1, true, false},
+		{"credited-uncredited", 0, -1},
+		{"uncredited-credited", -1, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b, _ := twoMemNodes(t, func(c *Config) {
 				if c.ListenAddr == "A" {
-					c.Codec = tc.codecA()
+					c.CreditWindow = tc.creditA
 				} else {
-					c.Codec = tc.codecB()
 					c.CreditWindow = tc.creditB
 				}
 			})
@@ -116,9 +105,8 @@ func TestCodecInterop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Asks exercise both wire directions; run enough of them that a
-			// streaming pair has crossed its hello/hello-ack upgrade on both
-			// links (the upgrade lands on the first write after the ack).
+			// Asks exercise both wire directions; run enough of them that
+			// both links' hello-acks have landed long before the end.
 			for i := 0; i < 50; i++ {
 				reply, err := actors.Ask(a.System(), ref, tPing{N: i}, 5*time.Second)
 				if err != nil {
@@ -128,38 +116,156 @@ func TestCodecInterop(t *testing.T) {
 					t.Fatalf("ask %d: reply = %#v", i, reply)
 				}
 			}
-			if tc.wantStream {
-				deadline := time.Now().Add(5 * time.Second)
-				for a.Stats().StreamingConns == 0 || b.Stats().StreamingConns == 0 {
-					if time.Now().After(deadline) {
-						t.Fatalf("streaming never engaged: a=%d b=%d",
-							a.Stats().StreamingConns, b.Stats().StreamingConns)
-					}
-					ref.Tell(tPing{N: -1})
-					time.Sleep(time.Millisecond)
-				}
-			} else if sc := a.Stats().StreamingConns + b.Stats().StreamingConns; sc != 0 {
-				t.Fatalf("streaming engaged on a mixed/legacy pairing (%d conns)", sc)
-			}
-			if tc.wantCredit {
-				deadline := time.Now().Add(5 * time.Second)
-				for a.Stats().CreditedConns == 0 || b.Stats().CreditedConns == 0 {
-					if time.Now().After(deadline) {
-						t.Fatalf("credits never engaged: a=%d b=%d",
-							a.Stats().CreditedConns, b.Stats().CreditedConns)
-					}
-					ref.Tell(tPing{N: -1})
-					time.Sleep(time.Millisecond)
-				}
-			} else if cc := a.Stats().CreditedConns + b.Stats().CreditedConns; cc != 0 {
+			if cc := a.Stats().CreditedConns + b.Stats().CreditedConns; cc != 0 {
 				t.Fatalf("credits engaged on an uncredited pairing (%d conns)", cc)
 			}
 		})
 	}
 }
 
+// TestRecordedFramesAreSelfContained: under MemNetwork.Record every FrameMsg
+// is self-contained — each decodes with a fresh decode session, in any
+// order — which is what lets the replayer reorder frames into their
+// recorded order.
+func TestRecordedFramesAreSelfContained(t *testing.T) {
+	const msgs = 40
+	net := NewMemNetwork()
+	net.Record(1)
+	tapA := &tapTransport{Transport: net.Endpoint("A")}
+	a, err := NewNode(Config{ListenAddr: "A", Transport: tapA, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewNode(Config{ListenAddr: "B", Transport: net.Endpoint("B"), Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	var got atomic.Int64
+	b.Register("sink", b.System().MustSpawn("sink", func(ctx *actors.Context, msg any) { got.Add(1) }))
+	ref, err := a.RefFor("sink@B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < msgs; i++ {
+		ref.Tell(tPing{N: i})
+	}
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == msgs })
+
+	var frames [][]byte
+	for _, f := range tapA.sent() {
+		if isMsgFrame(f) {
+			frames = append(frames, f)
+		}
+	}
+	if len(frames) != msgs {
+		t.Fatalf("tapped %d message frames, want %d", len(frames), msgs)
+	}
+	rng := rand.New(rand.NewSource(5))
+	rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+	seen := map[int]bool{}
+	for i, f := range frames {
+		if f[2]&msgFlagSelfContained == 0 {
+			t.Fatalf("frame %d: self-contained flag not set under Record", i)
+		}
+		var w WireEnvelope
+		if err := newDecSession().decodeFrame(f, &w); err != nil {
+			t.Fatalf("frame %d: fresh session decode: %v", i, err)
+		}
+		p, ok := w.Payload.(tPing)
+		if !ok || seen[p.N] {
+			t.Fatalf("frame %d: payload %#v (duplicate or wrong type)", i, w.Payload)
+		}
+		seen[p.N] = true
+	}
+	// One session decodes them in the same shuffled order too: self-contained
+	// frames never touch its stream state.
+	dec := newDecSession()
+	for i, f := range frames {
+		var w WireEnvelope
+		if err := dec.decodeFrame(f, &w); err != nil {
+			t.Fatalf("frame %d: shared session decode: %v", i, err)
+		}
+	}
+}
+
+// tapTransport wraps a mem endpoint and keeps a copy of every frame its
+// dial-out connections send. It forwards the content-stamping probe, so a
+// node on it records and replays like one on the bare endpoint.
+type tapTransport struct {
+	Transport
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (t *tapTransport) stampContent() bool { return t.Transport.(contentStamper).stampContent() }
+
+func (t *tapTransport) Dial(addr string) (Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{Conn: c, t: t}, nil
+}
+
+func (t *tapTransport) sent() [][]byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([][]byte(nil), t.frames...)
+}
+
+type tapConn struct {
+	Conn
+	t *tapTransport
+}
+
+func (c tapConn) Send(frame []byte) error {
+	c.t.mu.Lock()
+	c.t.frames = append(c.t.frames, append([]byte(nil), frame...))
+	c.t.mu.Unlock()
+	return c.Conn.Send(frame)
+}
+
+// TestUntaggedFrameClosesConnection: a frame that does not start with the
+// binary tag is not this wire format; the receiver counts a decode error
+// and closes the connection instead of guessing.
+func TestUntaggedFrameClosesConnection(t *testing.T) {
+	net := NewMemNetwork()
+	b, err := NewNode(Config{ListenAddr: "B", Transport: net.Endpoint("B")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	conn, err := net.Endpoint("X").Dial("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send([]byte{0x0C, 0xFF, 0x81, 0x03}); err != nil {
+		t.Fatal(err)
+	}
+	recvErr := make(chan error, 1)
+	go func() {
+		for {
+			if _, err := conn.Recv(); err != nil {
+				recvErr <- err
+				return
+			}
+		}
+	}()
+	select {
+	case <-recvErr:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection still open after an untagged frame")
+	}
+	if d := b.Stats().DecodeErrors; d != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1", d)
+	}
+}
+
 // TestStreamingSurvivesReconnect tears a streaming link down by closing the
-// peer node, restarts the listener, and checks the link renegotiates a fresh
+// peer node, restarts the listener, and checks the link starts a fresh
 // session pair that still delivers — the failure-handling story for a
 // stateful wire format.
 func TestStreamingSurvivesReconnect(t *testing.T) {
@@ -219,21 +325,10 @@ func TestStreamingSurvivesReconnect(t *testing.T) {
 		}
 	}
 	send(1)
-	// Make sure the first connection actually upgraded before killing it —
-	// the first message can legitimately travel self-contained while the
-	// hello-ack is still in flight.
-	firstUp := time.Now().Add(5 * time.Second)
-	for a.Stats().StreamingConns == 0 {
-		if time.Now().After(firstUp) {
-			t.Fatal("first connection never upgraded to streaming")
-		}
-		ref.Tell(tPing{N: 1})
-		time.Sleep(time.Millisecond)
-	}
 
 	// Kill B entirely (listener + connections), then bring up a fresh node
 	// on the same address: the old streaming session is unusable and the
-	// link must renegotiate from scratch.
+	// link must start a fresh session pair.
 	b.Close()
 	b2, err := NewNode(mkCfg("B"))
 	if err != nil {
@@ -242,15 +337,15 @@ func TestStreamingSurvivesReconnect(t *testing.T) {
 	defer b2.Close()
 	serveSink(b2)
 	send(2)
-
-	// The upgrade lands on A's first write after the new hello-ack, which
-	// may trail the first delivered message slightly; poll for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for a.Stats().StreamingConns < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("expected a fresh streaming upgrade after reconnect, got %d", a.Stats().StreamingConns)
-		}
-		ref.Tell(tPing{N: 3})
-		time.Sleep(time.Millisecond)
+	// The new connection streams: later frames ride the descriptors its
+	// first frame carried, and B2's fresh decode session never desyncs.
+	for i := 3; i < 20; i++ {
+		send(i)
+	}
+	if a.Stats().Reconnects == 0 {
+		t.Fatal("delivery resumed without a reconnect")
+	}
+	if d := b2.Stats().DecodeErrors; d != 0 {
+		t.Fatalf("fresh session pair desynchronized: %d decode errors", d)
 	}
 }

@@ -9,8 +9,8 @@ var ErrClosed = errors.New("remote: connection closed")
 // Transport abstracts how frames move between nodes. Two implementations
 // ship: TCPTransport (length-prefixed frames over real sockets) and
 // MemNetwork endpoints (in-process channels, deterministic fault injection).
-// A frame is an opaque []byte produced by a Codec; transports never look
-// inside it.
+// A frame is an opaque []byte encoded by the node (wirecodec.go); transports
+// move it without decoding it (MemNetwork's record/replay reads the header).
 type Transport interface {
 	// Listen binds addr and returns a listener for inbound connections.
 	Listen(addr string) (Listener, error)

@@ -9,13 +9,12 @@ import (
 )
 
 // TestStreamEncodeAllocs pins the steady-state allocation budget of the full
-// v2 encode path: binary header + streaming gob payload into a warm scratch
+// encode path: binary header + streaming gob payload into a warm scratch
 // buffer. The envelope header itself is zero-alloc (see
 // TestEnvelopeEncodeAllocs); gob's value encoding is allowed at most one
 // allocation per message.
 func TestStreamEncodeAllocs(t *testing.T) {
-	c := NewStreamCodec()
-	enc := c.newEncSession()
+	enc := newEncSession()
 	w := &WireEnvelope{
 		Kind: FrameMsg, To: "sink", FromAddr: "node-a", FromName: "driver",
 		Seq: 1, Lamport: 2, Payload: tPing{N: 7},
@@ -43,8 +42,7 @@ func TestStreamEncodeAllocs(t *testing.T) {
 // its intern table should allocate only what gob needs to materialize the
 // payload value.
 func TestStreamDecodeAllocs(t *testing.T) {
-	c := NewStreamCodec()
-	enc, dec := c.newEncSession(), c.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	w := &WireEnvelope{Kind: FrameMsg, To: "sink", FromAddr: "node-a", Seq: 1, Payload: tPing{N: 7}}
 	frame, err := enc.appendFrame(nil, w)
 	if err != nil {
@@ -76,14 +74,18 @@ func TestStreamDecodeAllocs(t *testing.T) {
 }
 
 // floodThroughput measures one-way Tell throughput (msgs/sec) between two
-// mem-transport nodes using the given codec on both ends. cfg, when non-nil,
-// tweaks both nodes' configs (e.g. CreditWindow).
-func floodThroughput(t *testing.T, mkCodec func() Codec, msgs int, cfg func(*Config)) float64 {
+// mem-transport nodes. record runs the flood under MemNetwork.Record, whose
+// content-stamped frames take the self-contained payload path. cfg, when
+// non-nil, tweaks both nodes' configs (e.g. CreditWindow).
+func floodThroughput(t *testing.T, msgs int, record bool, cfg func(*Config)) float64 {
 	t.Helper()
 	net := NewMemNetwork()
+	if record {
+		net.Record(1)
+	}
 	mk := func(addr string) *Node {
 		c := Config{
-			ListenAddr: addr, Transport: net.Endpoint(addr), Codec: mkCodec(),
+			ListenAddr: addr, Transport: net.Endpoint(addr),
 			OutboxCap: msgs + 64,
 		}
 		if cfg != nil {
@@ -131,21 +133,22 @@ func floodThroughput(t *testing.T, mkCodec func() Codec, msgs int, cfg func(*Con
 }
 
 // TestWireBenchSmoke is the CI regression gate for the wire hot path: the
-// streaming codec must beat the legacy self-contained codec on one-way Tell
-// throughput by a clear margin. Gated behind WIRE_BENCH_SMOKE=1 because
-// throughput ratios are meaningless under -race or on wildly loaded
-// machines; the wire-smoke CI job runs it on a plain build.
+// streaming payload session must beat the self-contained (record-mode)
+// payload path, one fresh gob stream per frame, on one-way Tell throughput
+// by a clear margin. Gated behind WIRE_BENCH_SMOKE=1 because throughput
+// ratios are meaningless under -race or on wildly loaded machines; the
+// wire-smoke CI job runs it on a plain build.
 func TestWireBenchSmoke(t *testing.T) {
 	if os.Getenv("WIRE_BENCH_SMOKE") == "" {
 		t.Skip("set WIRE_BENCH_SMOKE=1 to run the throughput regression gate")
 	}
 	const msgs = 30000
-	gob := floodThroughput(t, func() Codec { return GobCodec{} }, msgs, nil)
-	stream := floodThroughput(t, func() Codec { return NewStreamCodec() }, msgs, nil)
-	ratio := stream / gob
-	t.Logf("gob %.0f msgs/sec, stream %.0f msgs/sec, ratio %.2fx", gob, stream, ratio)
+	selfContained := floodThroughput(t, msgs, true, nil)
+	stream := floodThroughput(t, msgs, false, nil)
+	ratio := stream / selfContained
+	t.Logf("self-contained %.0f msgs/sec, stream %.0f msgs/sec, ratio %.2fx", selfContained, stream, ratio)
 	if ratio < 1.3 {
-		t.Fatalf("streaming codec only %.2fx the legacy codec (want ≥1.3x)", ratio)
+		t.Fatalf("streaming session only %.2fx the self-contained path (want ≥1.3x)", ratio)
 	}
 }
 
@@ -159,10 +162,10 @@ func TestCreditedFloodFloor(t *testing.T) {
 		t.Skip("set WIRE_BENCH_SMOKE=1 to run the credited-path throughput gate")
 	}
 	const msgs = 30000
-	uncredited := floodThroughput(t, func() Codec { return NewStreamCodec() }, msgs, func(c *Config) {
+	uncredited := floodThroughput(t, msgs, false, func(c *Config) {
 		c.CreditWindow = -1
 	})
-	credited := floodThroughput(t, func() Codec { return NewStreamCodec() }, msgs, nil)
+	credited := floodThroughput(t, msgs, false, nil)
 	ratio := credited / uncredited
 	t.Logf("uncredited %.0f msgs/sec, credited %.0f msgs/sec, ratio %.2fx", uncredited, credited, ratio)
 	if ratio < 0.8 {

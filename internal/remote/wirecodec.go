@@ -8,72 +8,56 @@ import (
 	"repro/internal/trace"
 )
 
-// v2 framing: the hand-rolled binary codec for the fixed envelope header.
-//
-// A v2 frame is self-describing at the byte level:
+// The wire format: one binary frame format that every connection speaks
+// from its first frame. A frame is self-describing at the byte level:
 //
 //	[0]     frameTagBinary (0xB2)
 //	[1]     Kind
-//	[2]     CodecVer
+//	[2]     Flags
 //	uvarint ToID, FromID, Seq, Lamport, Content
 //	string  To, FromAddr, FromName   (uvarint length + bytes each)
-//	...     payload bytes            (FrameMsg only; a streaming gob session)
+//	...     trace.WireSpan           (FrameMsg with msgFlagTraced only)
+//	...     payload bytes            (FrameMsg only; gob, see stream.go)
 //
-// The tag byte doubles as the codec-negotiation discriminator on a mixed
-// connection: 0xB2 can never begin a self-contained gob frame, because a gob
-// message starts with its length prefix, which is either a single byte
-// < 0x80 or a negated byte count in 0xF8..0xFF. A receiver that has granted
-// streaming (sent FrameHelloAck) therefore routes each inbound frame by its
-// first byte — tagged frames through the link's decode session, untagged
-// ones through the self-contained fallback codec — with no ambiguity and no
-// per-connection mode handshake beyond the hello/ack pair.
+// A frame that does not start with the tag is not this format; receivers
+// count it as a decode error and close the connection.
 const frameTagBinary = 0xB2
 
-// codecVerStreaming is the wire version advertised in FrameHello.CodecVer by
-// nodes whose codec supports per-link streaming sessions, and echoed in
-// FrameHelloAck when the receiver grants it. Version 0 (the zero value old
-// nodes send) means self-contained frames only.
-const codecVerStreaming = 2
+// Capability bits, carried in the Flags byte of FrameHello (the dialer's
+// capabilities) and FrameHelloAck (the receiver's). A connection uses a
+// capability only when both ends set its bit, so a traced node talks to an
+// untraced one, or a cluster node to a plain one, with the capability off
+// and everything else unchanged. Each bit follows the config that already
+// controls the feature.
+const (
+	// capCredits: the node meters its inbound connections with credit
+	// flow control (Config.CreditWindow > 0). A hello-ack with this bit
+	// carries the receiver's initial window in Seq.
+	capCredits = 1 << iota
+	// capGossip: the node speaks cluster membership gossip
+	// (Config.Gossip != nil), piggybacked as FrameGossip on heartbeats.
+	capGossip
+	// capTraced: the node can migrate trace spans inside message frames
+	// (its System has a Tracer). Without the bit on both ends the sender
+	// seals spans at the wire boundary instead.
+	capTraced
+)
 
-// codecVerCredited is the wire version advertised by nodes that also speak
-// credit-based flow control (FrameCredit). It implies streaming: receivers
-// that only know codecVerStreaming grant the upgrade with `>= 2` and echo 2,
-// which is exactly how a credited dialer discovers its peer is uncredited —
-// the connection runs streaming-but-unmetered, interop-safe both ways. A
-// receiver that echoes codecVerCredited carries its initial window grant in
-// the hello-ack's Seq field.
-const codecVerCredited = 3
-
-// codecVerCluster is the wire version advertised by nodes participating in
-// cluster membership (internal/cluster): it additionally speaks FrameGossip,
-// the membership digest piggybacked on heartbeat ticks. Like credits it
-// degrades pairwise: a v4 dialer against a v3-or-older receiver gets a lower
-// ack and simply never sends gossip on that connection, and a cluster
-// receiver echoes codecVerCluster with the credit window in Seq when it
-// meters (zero Seq means streaming-and-gossip but unmetered — the dialer
-// must not arm credits off an empty grant).
-const codecVerCluster = 4
-
-// codecVerTraced is the wire version advertised by nodes that can carry
-// distributed trace spans in their message frames. Like credits and gossip
-// it degrades pairwise: a v5 dialer against a v4-or-older receiver gets the
-// lower ack and seals spans at the wire boundary instead of migrating them;
-// a receiver only echoes codecVerTraced when it has a tracer to adopt the
-// spans into. The trace context itself is not negotiated state — each
-// FrameMsg says whether it carries one via msgFlagTraced — so an untraced
-// message on a traced connection still pays zero extra bytes.
-const codecVerTraced = 5
-
-// msgFlagTraced marks a FrameMsg whose header is followed by a trace.WireSpan
-// (the migrating span ledger). It lives in the CodecVer byte, which is
-// documented as zero on every non-hello frame, so pre-trace decoders — which
-// ignore the byte outside negotiation — skip frames they'll never be sent
-// (the flag is only set on connections that negotiated codecVerTraced) and
-// the header layout of v2..v4 frames is untouched.
-const msgFlagTraced = 0x01
+// Message flag bits, carried in the Flags byte of FrameMsg and owned by the
+// codec: senders leave the byte zero and the encoder sets them.
+const (
+	// msgFlagTraced marks a FrameMsg whose header is followed by a
+	// trace.WireSpan (the migrating span ledger). An untraced message on a
+	// traced connection pays zero extra bytes.
+	msgFlagTraced = 1 << iota
+	// msgFlagSelfContained marks a FrameMsg whose payload is a gob stream
+	// of its own rather than the next chunk of the connection's session
+	// stream, so it decodes in any order (record/replay, see stream.go).
+	msgFlagSelfContained
+)
 
 var (
-	errBadTag    = errors.New("remote: frame does not start with the v2 binary tag")
+	errBadTag    = errors.New("remote: frame does not start with the binary tag")
 	errTruncated = errors.New("remote: truncated envelope header")
 )
 
@@ -81,12 +65,12 @@ var (
 // the extended slice. It never fails: every field is length-delimited and
 // bounded only by the transport's maxFrame check at send time.
 func appendEnvelope(buf []byte, w *WireEnvelope) []byte {
-	ver := w.CodecVer
+	flags := w.Flags
 	traced := w.Kind == FrameMsg && w.span != nil
 	if traced {
-		ver |= msgFlagTraced
+		flags |= msgFlagTraced
 	}
-	buf = append(buf, frameTagBinary, byte(w.Kind), ver)
+	buf = append(buf, frameTagBinary, byte(w.Kind), flags)
 	buf = binary.AppendUvarint(buf, w.ToID)
 	buf = binary.AppendUvarint(buf, w.FromID)
 	buf = binary.AppendUvarint(buf, w.Seq)
@@ -154,7 +138,7 @@ func decodeEnvelopeInto(w *WireEnvelope, frame []byte, cache *internTable) (int,
 		return 0, fmt.Errorf("remote: invalid frame kind %d", frame[1])
 	}
 	w.Kind = kind
-	w.CodecVer = frame[2]
+	w.Flags = frame[2]
 	rest := frame[3:]
 
 	var err error
@@ -191,11 +175,11 @@ func decodeEnvelopeInto(w *WireEnvelope, frame []byte, cache *internTable) (int,
 		w.To, w.FromAddr, w.FromName = string(to), string(fromAddr), string(fromName)
 	}
 	w.traced, w.wireSpan = false, trace.WireSpan{}
-	if w.Kind == FrameMsg && w.CodecVer&msgFlagTraced != 0 {
-		// Self-describing: no negotiation state needed here. Strip the flag
-		// so CodecVer keeps its documented "zero on non-hello frames" shape
-		// for everything downstream (wire logs, record/replay).
-		w.CodecVer &^= msgFlagTraced
+	if w.Kind == FrameMsg && w.Flags&msgFlagTraced != 0 {
+		// Self-describing: no connection state needed here. Strip the flag:
+		// it stands for the span, which decodes into wireSpan, and the
+		// encoder sets it again from the span.
+		w.Flags &^= msgFlagTraced
 		if rest, err = readWireSpan(&w.wireSpan, rest); err != nil {
 			return 0, err
 		}

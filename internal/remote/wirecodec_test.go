@@ -14,17 +14,16 @@ func randEnvelope(rng *rand.Rand) *WireEnvelope {
 	pick := func() uint64 { return nums[rng.Intn(len(nums))] }
 	kinds := []FrameKind{FrameHello, FrameMsg, FrameHeartbeat, FrameHeartbeatAck, FrameHelloAck, FrameCredit, FrameGossip}
 	kind := kinds[rng.Intn(len(kinds))]
-	ver := uint8(rng.Intn(6))
+	flags := uint8(rng.Intn(8))
 	if kind == FrameMsg {
-		// On msg frames bit 0 of the CodecVer byte is the traced flag
-		// (msgFlagTraced), owned by the codec: senders leave the byte zero
-		// there, so a valid generated envelope must not claim a span it
-		// does not carry.
-		ver &^= msgFlagTraced
+		// On msg frames the Flags byte is owned by the codec, and
+		// msgFlagTraced stands for a span section: a valid generated
+		// envelope must not claim a span it does not carry.
+		flags &^= msgFlagTraced
 	}
 	return &WireEnvelope{
 		Kind:     kind,
-		CodecVer: ver,
+		Flags:    flags,
 		To:       strs[rng.Intn(len(strs))],
 		ToID:     pick(),
 		FromAddr: strs[rng.Intn(len(strs))],
@@ -37,7 +36,7 @@ func randEnvelope(rng *rand.Rand) *WireEnvelope {
 }
 
 func envelopeHeadersEqual(a, b *WireEnvelope) bool {
-	return a.Kind == b.Kind && a.CodecVer == b.CodecVer &&
+	return a.Kind == b.Kind && a.Flags == b.Flags &&
 		a.To == b.To && a.ToID == b.ToID &&
 		a.FromAddr == b.FromAddr && a.FromID == b.FromID && a.FromName == b.FromName &&
 		a.Seq == b.Seq && a.Lamport == b.Lamport && a.Content == b.Content
@@ -65,7 +64,7 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeDecodeTruncated(t *testing.T) {
 	w := &WireEnvelope{
-		Kind: FrameMsg, CodecVer: 2, To: "sink", ToID: 9,
+		Kind: FrameMsg, Flags: msgFlagSelfContained, To: "sink", ToID: 9,
 		FromAddr: "node-a", FromID: math.MaxUint64, FromName: "driver",
 		Seq: 12345, Lamport: 99,
 	}
@@ -83,7 +82,7 @@ func TestEnvelopeDecodeRejectsBadInput(t *testing.T) {
 	good := appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, To: "x"})
 
 	bad := append([]byte{}, good...)
-	bad[0] = 0x05 // not the v2 tag: must be routed to the fallback codec
+	bad[0] = 0x05 // not the binary tag
 	var w WireEnvelope
 	if _, err := decodeEnvelopeInto(&w, bad, nil); err != errBadTag {
 		t.Fatalf("bad tag: err = %v, want errBadTag", err)
@@ -131,8 +130,7 @@ func TestCreditFrameWire(t *testing.T) {
 		}
 	}
 
-	var sc sessionCodec = NewStreamCodec()
-	enc, dec := sc.newEncSession(), sc.newDecSession()
+	enc, dec := newEncSession(), newDecSession()
 	var out WireEnvelope
 	if err := dec.decodeFrame(append(frame, 0xAB), &out); err == nil {
 		t.Fatal("credit frame with trailing bytes decoded without error")
@@ -197,6 +195,10 @@ func FuzzCodec(f *testing.F) {
 	f.Add([]byte{frameTagBinary})
 	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameCredit, FromAddr: "node-b", Seq: 4096}))
 	f.Add([]byte{frameTagBinary, byte(FrameMsg), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	// The capability handshake and the record-mode message flag.
+	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameHello, Flags: capCredits | capGossip | capTraced, FromAddr: "node-a", Lamport: 1}))
+	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameHelloAck, Flags: capCredits | capTraced, FromAddr: "node-b", Seq: 1024}))
+	f.Add(appendEnvelope(nil, &WireEnvelope{Kind: FrameMsg, Flags: msgFlagSelfContained, To: "sink", Content: 0xDEADBEEF}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var w WireEnvelope
 		n, err := decodeEnvelopeInto(&w, data, nil)
