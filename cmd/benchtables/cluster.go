@@ -2,25 +2,19 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/cluster/harness"
-	"repro/internal/metrics"
 )
 
 // clusterTable runs the cluster load harness (internal/cluster/harness) at
 // table scale: a 3-node cluster, a modest simulated-client population, one
-// node killed after the steady phase. It prints steady-state throughput,
+// node killed after the steady phase. It reports steady-state throughput,
 // the ask p99 before and during the rebalance, and the recovery time from
-// the kill to the first op on a re-homed grain. The committed full-scale
-// baseline (a million clients, BENCH_cluster.json) comes from cmd/loadgen,
-// not from here — this table is the smoke-sized view CI can afford.
-func clusterTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("CLUSTER SHARDING: presence load vs node kill (docs/CLUSTER.md)",
-		"Phase", "throughput", "ask p99", "detail")
-	var entries []benchEntry
-
+// the kill to the first op on a re-homed grain. The full-scale baseline (a
+// million clients, BENCH_cluster.json) comes from cmd/loadgen, not from
+// here.
+func clusterTable(reps, scale int) []row {
 	cfg := harness.Config{
 		Nodes:             3,
 		Clients:           int64(60_000 / scale),
@@ -34,38 +28,18 @@ func clusterTable(reps, scale int) []benchEntry {
 		HeartbeatTimeout:  20 * time.Millisecond,
 		SuspectAfter:      60 * time.Millisecond,
 	}
-
-	var rep harness.Report
-	_, err := timeMedian(reps, func() error {
-		r, err := harness.Run(cfg)
-		rep = r
-		return err
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: cluster: %v\n", err)
-		os.Exit(1)
-	}
-
-	t.AddRow("steady state",
-		fmt.Sprintf("%.1fk ops/sec", rep.SteadyRate/1e3),
-		fmt.Sprintf("%.2f ms", float64(rep.SteadyP99.Microseconds())/1e3),
-		fmt.Sprintf("%d clients on %d grains", rep.Clients, rep.Grains))
-	t.AddRow("rebalance (1 node killed)",
-		fmt.Sprintf("%.1fk ops/sec", rep.RebalanceRate/1e3),
-		fmt.Sprintf("%.2f ms", float64(rep.RebalanceP99.Microseconds())/1e3),
-		fmt.Sprintf("%d handoffs, %d parked", rep.Handoffs, rep.Parked))
-	t.AddRow("recovery",
-		"—",
-		"—",
-		fmt.Sprintf("%.1f ms to first op on a re-homed grain", float64(rep.RecoveryTime.Microseconds())/1e3))
-
-	entries = append(entries,
-		benchEntry{Name: "steady", Metric: "ops/sec", Value: rep.SteadyRate},
-		benchEntry{Name: "steady", Metric: "ask p99 ms", Value: float64(rep.SteadyP99.Microseconds()) / 1e3},
-		benchEntry{Name: "rebalance", Metric: "ops/sec", Value: rep.RebalanceRate},
-		benchEntry{Name: "rebalance", Metric: "ask p99 ms", Value: float64(rep.RebalanceP99.Microseconds()) / 1e3},
-		benchEntry{Name: "recovery", Metric: "ms", Value: float64(rep.RecoveryTime.Microseconds()) / 1e3})
-
-	fmt.Print(t)
-	return entries
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
+	name := fmt.Sprintf("%d clients on %d grains", cfg.Clients, cfg.Grains)
+	return measure("cluster", reps, []benchCase{{name, func() ([]row, error) {
+		rep, err := harness.Run(cfg)
+		return []row{
+			{Case: "steady state", Unit: "ops/s", Value: rep.SteadyRate},
+			{Case: "steady state", Unit: "ask p99 ms", Value: ms(rep.SteadyP99)},
+			{Case: "rebalance (1 node killed)", Unit: "ops/s", Value: rep.RebalanceRate},
+			{Case: "rebalance (1 node killed)", Unit: "ask p99 ms", Value: ms(rep.RebalanceP99)},
+			{Case: "rebalance (1 node killed)", Unit: "handoffs", Value: float64(rep.Handoffs)},
+			{Case: "rebalance (1 node killed)", Unit: "parked", Value: float64(rep.Parked)},
+			{Case: "recovery to first op on a re-homed grain", Unit: "ms", Value: ms(rep.RecoveryTime)},
+		}, err
+	}}})
 }

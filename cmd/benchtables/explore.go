@@ -1,22 +1,19 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/pseudocode"
 	"repro/internal/study"
 )
 
 // Committed seed-explorer throughput (states/sec), measured on the baseline
 // machine with the pre-rewrite explorer (string-keyed visited set, per-frame
-// allocation, no POR, sequential only). The speedup column compares the
+// allocation, no POR, sequential only). The "x seed" rows compare the
 // current explorer against these on the same programs; on a different
 // machine the ratio drifts but stays the meaningful number — the absolute
-// rates in BENCH_explore.json do not transfer.
+// rates in BENCH.json do not transfer.
 var exploreSeedRates = map[string]float64{
 	"bridge_shared":          51666,
 	"bridge_message":         20794,
@@ -27,7 +24,7 @@ var exploreSeedRates = map[string]float64{
 // ground-truth regeneration on the baseline machine.
 const exploreSeedStudySecs = 14.86
 
-// exploreCase is one row of the explorer throughput table.
+// exploreCase is one case of the explorer throughput table.
 type exploreCase struct {
 	program string
 	semName string
@@ -58,125 +55,64 @@ func exploreCases(quick bool) []exploreCase {
 	return cases
 }
 
-// exploreBest runs one exploration config reps times and returns the result
-// with the best (fastest) wall time — the aggregation the other tables use:
-// on a shared machine, interruptions only ever add time.
-func exploreBest(prog *pseudocode.Compiled, opts pseudocode.ExploreOpts, reps int) (*pseudocode.ExploreResult, time.Duration, error) {
-	var bestRes *pseudocode.ExploreResult
-	var best time.Duration
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		res, err := pseudocode.Explore(prog, opts)
-		el := time.Since(start)
-		if err != nil {
-			return nil, 0, err
-		}
-		if r == 0 || el < best {
-			best, bestRes = el, res
-		}
-	}
-	return bestRes, best, nil
-}
-
 // exploreTable measures explorer throughput over the embedded corpus:
 // distinct states, transitions with and without partial-order reduction,
 // sequential and 8-worker states/sec, and the speedup against the committed
 // seed-explorer rates where a seed measurement exists. It ends with the
 // study's ground-truth regeneration wall time (the end-to-end consumer of
 // explorer speed).
-func exploreTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("EXPLORER THROUGHPUT: full state-space search (docs/PERF.md)",
-		"Program", "Semantics", "states", "trans", "trans POR", "st/s", "st/s 8w", "vs seed")
-	var entries []benchEntry
+func exploreTable(reps, scale int) []row {
 	progs := pseudocode.CorpusPrograms()
-	quick := scale > 1
-
-	for _, c := range exploreCases(quick) {
+	var cases []benchCase
+	for _, c := range exploreCases(scale > 1) {
 		prog, err := pseudocode.CompileSource(progs[c.program])
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: compile %s: %v\n", c.program, err)
-			os.Exit(1)
+		check(err, "compile "+c.program)
+		explore := func(opts pseudocode.ExploreOpts) (*pseudocode.ExploreResult, float64, error) {
+			opts.Sem = c.sem
+			start := time.Now()
+			res, err := pseudocode.Explore(prog, opts)
+			if err == nil && res.Truncated {
+				err = fmt.Errorf("exploration truncated")
+			}
+			return res, time.Since(start).Seconds(), err
 		}
-		base, baseEl, err := exploreBest(prog, pseudocode.ExploreOpts{Sem: c.sem}, reps)
-		if err == nil && base.Truncated {
-			err = fmt.Errorf("exploration truncated")
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: explore %s/%s: %v\n", c.program, c.semName, err)
-			os.Exit(1)
-		}
-		por, _, err := exploreBest(prog, pseudocode.ExploreOpts{Sem: c.sem, POR: true}, reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: explore %s/%s POR: %v\n", c.program, c.semName, err)
-			os.Exit(1)
-		}
-		_, parEl, err := exploreBest(prog, pseudocode.ExploreOpts{Sem: c.sem, Workers: 8}, reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: explore %s/%s workers: %v\n", c.program, c.semName, err)
-			os.Exit(1)
-		}
-		seqRate := float64(base.StatesVisited) / baseEl.Seconds()
-		parRate := float64(base.StatesVisited) / parEl.Seconds()
-		vsSeed := "-"
-		if seed, ok := exploreSeedRates[c.program]; ok && c.semName == "true" {
-			vsSeed = fmt.Sprintf("%.1fx", seqRate/seed)
-			entries = append(entries, benchEntry{Name: c.program + " speedup vs seed", Metric: "ratio", Value: seqRate / seed})
-		}
-		t.AddRow(c.program, c.semName,
-			fmt.Sprintf("%d", base.StatesVisited),
-			fmt.Sprintf("%d", base.Transitions),
-			fmt.Sprintf("%d", por.Transitions),
-			fmt.Sprintf("%.0f", seqRate),
-			fmt.Sprintf("%.0f", parRate),
-			vsSeed)
-		key := c.program + "/" + c.semName
-		entries = append(entries,
-			benchEntry{Name: key, Metric: "states", Value: float64(base.StatesVisited)},
-			benchEntry{Name: key, Metric: "transitions", Value: float64(base.Transitions)},
-			benchEntry{Name: key, Metric: "transitions POR", Value: float64(por.Transitions)},
-			benchEntry{Name: key, Metric: "states/sec", Value: seqRate},
-			benchEntry{Name: key, Metric: "states/sec 8 workers", Value: parRate})
+		cases = append(cases, benchCase{c.program + "/" + c.semName, func() ([]row, error) {
+			base, seqSecs, err := explore(pseudocode.ExploreOpts{})
+			if err != nil {
+				return nil, err
+			}
+			por, _, err := explore(pseudocode.ExploreOpts{POR: true})
+			if err != nil {
+				return nil, err
+			}
+			_, parSecs, err := explore(pseudocode.ExploreOpts{Workers: 8})
+			if err != nil {
+				return nil, err
+			}
+			states := float64(base.StatesVisited)
+			rows := []row{
+				{Unit: "states", Value: states},
+				{Unit: "transitions", Value: float64(base.Transitions)},
+				{Unit: "transitions POR", Value: float64(por.Transitions)},
+				{Unit: "states/s", Value: states / seqSecs},
+				{Unit: "states/s 8 workers", Value: states / parSecs},
+			}
+			if seed, ok := exploreSeedRates[c.program]; ok && c.semName == "true" {
+				rows = append(rows, row{Unit: "x seed", Value: states / seqSecs / seed})
+			}
+			return rows, nil
+		}})
 	}
-	fmt.Print(t.String())
+	rows := measure("explore", reps, cases)
 
-	// End-to-end consumer: regenerate the study's ground-truth bank (POR +
-	// workers in production config). BuildBank caches, so time the uncached
-	// internals via a fresh run of both section explorations.
-	bankStart := time.Now()
-	if _, err := study.BuildBank(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchtables: study bank: %v\n", err)
-		os.Exit(1)
-	}
-	bankSecs := time.Since(bankStart).Seconds()
-	fmt.Printf("\nstudy ground-truth bank regenerated in %.2fs (seed explorer: %.1fs, %.1fx)\n",
-		bankSecs, exploreSeedStudySecs, exploreSeedStudySecs/bankSecs)
-	entries = append(entries,
-		benchEntry{Name: "study bank regeneration", Metric: "seconds", Value: bankSecs},
-		benchEntry{Name: "study bank speedup vs seed", Metric: "ratio", Value: exploreSeedStudySecs / bankSecs})
-	return entries
-}
-
-func writeExploreBaseline(path string, scale int, entries []benchEntry) error {
-	doc := struct {
-		Note    string       `json:"note"`
-		Command string       `json:"command"`
-		Scale   int          `json:"scale"`
-		Entries []benchEntry `json:"entries"`
-	}{
-		Note: "Explorer throughput baseline: fingerprinted visited set, arena " +
-			"frames, free-list recycling, sleep-set POR, parallel search. " +
-			"Machine-dependent: compare the 'speedup vs seed' ratio entries " +
-			"(seed = pre-rewrite explorer on the same machine), not absolute " +
-			"states/sec. States and transition counts are exact and must not " +
-			"drift; 'transitions POR' may differ across machines only if the " +
-			"program set changes.",
-		Command: "go run ./cmd/benchtables -explore -json-explore BENCH_explore.json",
-		Scale:   scale,
-		Entries: entries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	// End-to-end consumer: build the study's ground-truth bank (POR +
+	// workers in production config). BuildBank memoizes per process, so
+	// this row is a single cold measurement, outside the aggregation.
+	start := time.Now()
+	_, err := study.BuildBank()
+	check(err, "study bank")
+	secs := time.Since(start).Seconds()
+	return append(rows,
+		row{"explore", "study ground-truth bank", "s", secs},
+		row{"explore", "study ground-truth bank", "x seed", exploreSeedStudySecs / secs})
 }

@@ -1,36 +1,22 @@
-// Command benchtables regenerates the reproduction's performance
-// comparison: every classical problem timed under all three concurrency
-// models, plus model microbenchmarks (spawn, communication, and
-// synchronization primitives). This is the quantitative side of the
-// course's goal that students "investigate the efficiency of these
-// implementations".
+// Command benchtables regenerates the reproduction's performance numbers:
+// every classical problem timed under all three concurrency models, model
+// microbenchmarks, the actor hot path (mailbox, dispatcher, observability
+// and tracing variants of one Tell flood), the node-to-node wire, overload
+// protection, explorer throughput and the cluster load harness. This is
+// the quantitative side of the course's goal that students "investigate
+// the efficiency of these implementations".
 //
 // Usage:
 //
-//	benchtables [-reps N] [-quick] [-json FILE] [-remote] [-json-remote FILE]
-//	           [-obs] [-json-obs FILE] [-wire] [-json-wire FILE]
-//	           [-overload] [-json-overload FILE]
+//	benchtables [-reps N] [-quick] [-json FILE]
 //
-// -json writes the mailbox/dispatcher numbers to FILE (the committed
-// baseline lives at BENCH_mailbox.json; see docs/PERF.md). -remote appends
-// the node-to-node wire table, and -json-remote writes it to FILE (the
-// committed baseline lives at BENCH_remote.json; see docs/REMOTE.md).
-// -obs appends the instrumentation-overhead table — the same Tell flood
-// with observability off, on at the default sampling rate, with the
-// conservation ledger, and timing every message — and -json-obs writes it
-// to FILE (committed baseline: BENCH_obs.json; see docs/OBSERVABILITY.md).
-// -wire appends the wire hot-path table — streaming codec micro costs and
-// end-to-end floods — and -json-wire writes it to FILE
-// (committed baseline: BENCH_wire.json; see docs/REMOTE.md).
-// -overload appends the overload-protection table — achieved throughput,
-// ask p99, and shed volume at 1×/4×/16× the sink's service rate under
-// credit-based flow control — and -json-overload writes it to FILE
-// (committed baseline: BENCH_overload.json; see docs/REMOTE.md).
-// -explore appends the pseudocode explorer throughput table — states/sec,
-// transition counts with and without partial-order reduction, parallel
-// rates, and the study ground-truth regeneration time — and -json-explore
-// writes it to FILE (committed baseline: BENCH_explore.json; see
-// docs/PERF.md). -explore-only runs just that table (CI smoke).
+// Every run measures every table. Each table's cases run interleaved
+// within each repetition, after one unmeasured warm-up round, and each row
+// reports the median of its per-repetition values. -quick divides the
+// workloads by 4; -json writes the rows to FILE. The committed baseline is
+// BENCH.json at the repository root:
+//
+//	go run ./cmd/benchtables -json BENCH.json
 package main
 
 import (
@@ -39,6 +25,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,253 +36,277 @@ import (
 	"repro/internal/metrics"
 	_ "repro/internal/problems/registry"
 	"repro/internal/threads"
+	"repro/internal/trace"
 )
 
+// defaultReps is the -reps default; the regeneration command omits it.
+const defaultReps = 3
+
+// row is one measured number. The printed tables and BENCH.json are both
+// made from rows, and (Table, Case, Unit) is unique within a run.
+type row struct {
+	Table string  `json:"table"`
+	Case  string  `json:"case"`
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
+}
+
+// report is the BENCH.json document.
+type report struct {
+	Command    string `json:"command"`
+	Quick      bool   `json:"quick"`
+	Scale      int    `json:"scale"`
+	Reps       int    `json:"reps"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Rows       []row  `json:"rows"`
+}
+
 func main() {
-	reps := flag.Int("reps", 3, "repetitions per cell (median reported)")
+	reps := flag.Int("reps", defaultReps, "measured repetitions per case (median reported)")
 	quick := flag.Bool("quick", false, "smaller workloads")
-	jsonPath := flag.String("json", "", "write the mailbox/dispatcher baseline to this file")
-	withRemote := flag.Bool("remote", false, "also run the node-to-node wire table")
-	jsonRemotePath := flag.String("json-remote", "", "write the remote wire baseline to this file (implies -remote)")
-	withObs := flag.Bool("obs", false, "also run the instrumentation-overhead table")
-	jsonObsPath := flag.String("json-obs", "", "write the instrumentation-overhead baseline to this file (implies -obs)")
-	withWire := flag.Bool("wire", false, "also run the wire hot-path table")
-	jsonWirePath := flag.String("json-wire", "", "write the wire hot-path baseline to this file (implies -wire)")
-	withOverload := flag.Bool("overload", false, "also run the overload-protection table")
-	jsonOverloadPath := flag.String("json-overload", "", "write the overload-protection baseline to this file (implies -overload)")
-	withCluster := flag.Bool("cluster", false, "also run the cluster sharding table (full baseline: cmd/loadgen)")
-	clusterOnly := flag.Bool("cluster-only", false, "run only the cluster sharding table (CI smoke)")
-	withTrace := flag.Bool("trace", false, "also run the distributed-tracing overhead table")
-	jsonTracePath := flag.String("json-trace", "", "write the tracing-overhead baseline to this file (implies -trace)")
-	withExplore := flag.Bool("explore", false, "also run the pseudocode explorer throughput table")
-	jsonExplorePath := flag.String("json-explore", "", "write the explorer baseline to this file (implies -explore)")
-	exploreOnly := flag.Bool("explore-only", false, "run only the explorer throughput table (CI smoke)")
+	jsonPath := flag.String("json", "", "write every row to this file")
 	flag.Parse()
-
-	if *clusterOnly {
-		clusterTable(*reps, scaleOf(*quick))
-		return
-	}
-	if *exploreOnly {
-		entries := exploreTable(*reps, scaleOf(*quick))
-		if *jsonExplorePath != "" {
-			if err := writeExploreBaseline(*jsonExplorePath, scaleOf(*quick), entries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		return
+	if *reps < 1 {
+		fmt.Fprintln(os.Stderr, "benchtables: -reps must be at least 1")
+		os.Exit(2)
 	}
 
-	scale := scaleOf(*quick)
-
-	problemTable(*reps, scale)
-	fmt.Println()
-	microTable(*reps, scale)
-	fmt.Println()
-	entries := mailboxTable(*reps, scale)
+	scale := 1
+	if *quick {
+		scale = 4
+	}
+	var rows []row
+	for _, table := range []func(reps, scale int) []row{
+		problemTable, microTable, tellFloodTable, remoteTable,
+		wireTable, overloadTable, exploreTable, clusterTable,
+	} {
+		rs := table(*reps, scale)
+		printTables(rs)
+		rows = append(rows, rs...)
+	}
+	over := overheadRows(rows)
+	printTables(over)
+	rows = append(rows, over...)
 
 	if *jsonPath != "" {
-		if err := writeBaseline(*jsonPath, scale, entries); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-			os.Exit(1)
+		rep := report{
+			Command:    command(*quick, *reps, *jsonPath),
+			Quick:      *quick,
+			Scale:      scale,
+			Reps:       *reps,
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
+			Rows:       rows,
 		}
-	}
-
-	if *withRemote || *jsonRemotePath != "" {
-		fmt.Println()
-		remoteEntries := remoteTable(*reps, scale)
-		if *jsonRemotePath != "" {
-			if err := writeRemoteBaseline(*jsonRemotePath, scale, remoteEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
+		data, err := json.MarshalIndent(rep, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
 		}
-	}
-
-	if *withObs || *jsonObsPath != "" {
-		fmt.Println()
-		obsEntries := obsTable(*reps, scale)
-		if *jsonObsPath != "" {
-			if err := writeObsBaseline(*jsonObsPath, scale, obsEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *withWire || *jsonWirePath != "" {
-		fmt.Println()
-		wireEntries := wireTable(*reps, scale)
-		if *jsonWirePath != "" {
-			if err := writeWireBaseline(*jsonWirePath, scale, wireEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *withOverload || *jsonOverloadPath != "" {
-		fmt.Println()
-		overloadEntries := overloadTable(*reps, scale)
-		if *jsonOverloadPath != "" {
-			if err := writeOverloadBaseline(*jsonOverloadPath, scale, overloadEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *withTrace || *jsonTracePath != "" {
-		fmt.Println()
-		traceEntries := traceTable(*reps, scale)
-		if *jsonTracePath != "" {
-			if err := writeTraceBaseline(*jsonTracePath, scale, traceEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *withExplore || *jsonExplorePath != "" {
-		fmt.Println()
-		exploreEntries := exploreTable(*reps, scale)
-		if *jsonExplorePath != "" {
-			if err := writeExploreBaseline(*jsonExplorePath, scale, exploreEntries); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *withCluster {
-		fmt.Println()
-		clusterTable(*reps, scale)
+		check(err, "write "+*jsonPath)
 	}
 }
 
-// scaleOf maps -quick to the workload divisor shared by every table.
-func scaleOf(quick bool) int {
+// command is the invocation that regenerates a report with these flags.
+func command(quick bool, reps int, path string) string {
+	cmd := "go run ./cmd/benchtables"
 	if quick {
-		return 4
+		cmd += " -quick"
 	}
-	return 1
+	if reps != defaultReps {
+		cmd += fmt.Sprintf(" -reps %d", reps)
+	}
+	return cmd + " -json " + path
 }
 
-// obsTable measures what turning observability on costs the actor hot path:
-// the same 8-sender Tell flood with no Obs, with the default 1-in-64
-// latency sampling, with sampling plus the exact conservation ledger, and
-// timing every message (Sample=1). The overhead column is relative to the
-// uninstrumented row; docs/OBSERVABILITY.md states the ≤15% bound for the
-// default-sampling row, which the CI smoke job enforces.
-func obsTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("INSTRUMENTATION OVERHEAD: 8-sender Tell flood (docs/OBSERVABILITY.md)",
-		"Case", "throughput", "overhead")
-	var entries []benchEntry
-	n := 200000 / scale
-
-	obsCfg := func(sample int, conserve bool) actors.Config {
-		o := actors.NewObs(metrics.NewRegistry(), "actors")
-		o.Sample = sample
-		o.Conserve = conserve
-		return actors.Config{Obs: o}
-	}
-	cases := []struct {
-		name string
-		cfg  actors.Config
-	}{
-		{"no obs (baseline)", actors.Config{}},
-		{"obs, sample 1/64 (default)", obsCfg(0, false)},
-		{"obs + conservation ledger", obsCfg(0, true)},
-		{"obs, every message (sample 1)", obsCfg(1, false)},
-	}
-	// Interleave the cases within each repetition rather than running each
-	// case's reps back to back: overhead is a ratio between cases, and
-	// machine drift (frequency scaling, a neighbor's load) over the seconds
-	// a back-to-back sweep takes reads as fake overhead. Interleaving puts
-	// every case under the same drift. Per case, take the best (fastest)
-	// repetition, not the median: the flood runs hot for ~20ms, so any
-	// scheduler hiccup only ever adds time, and on a shared machine those
-	// additions dominate the median while the minimum converges on the
-	// undisturbed cost — the same aggregation the CI smoke bound uses.
-	best := make([]float64, len(cases))
-	for r := 0; r < reps+1; r++ {
-		for i, c := range cases {
-			start := time.Now()
-			if err := tellFloodOnce(c.cfg, 8, n); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", c.name, err)
-				os.Exit(1)
-			}
-			d := float64(time.Since(start))
-			if r == 0 {
-				continue // warmup round: page in code, grow the heap
-			}
-			if best[i] == 0 || d < best[i] {
-				best[i] = d
-			}
-		}
-	}
-	var base float64
-	for i, c := range cases {
-		rate := float64(n) / (best[i] / 1e9)
-		overhead := "-"
-		if i == 0 {
-			base = rate
-		} else if base > 0 {
-			pct := (base - rate) / base * 100
-			overhead = fmt.Sprintf("%+.1f%%", pct)
-			entries = append(entries, benchEntry{Name: c.name, Metric: "overhead_pct", Value: pct})
-		}
-		t.AddRow(c.name, fmt.Sprintf("%.2fM msgs/sec", rate/1e6), overhead)
-		entries = append(entries, benchEntry{Name: c.name, Metric: "msgs/sec", Value: rate})
-	}
-	fmt.Print(t)
-	return entries
-}
-
-// writeObsBaseline persists the instrumentation-overhead entries as the
-// committed regression baseline (BENCH_obs.json).
-func writeObsBaseline(path string, scale int, entries []benchEntry) error {
-	doc := struct {
-		Note    string       `json:"note"`
-		Command string       `json:"command"`
-		Scale   int          `json:"scale"`
-		Entries []benchEntry `json:"entries"`
-	}{
-		Note: "Instrumentation overhead baseline. Machine-dependent: compare the " +
-			"overhead_pct entries (instrumented vs uninstrumented Tell), not the " +
-			"absolute rates. The default-sampling row is the one bounded at 15%.",
-		Command: "go run ./cmd/benchtables -json-obs BENCH_obs.json",
-		Scale:   scale,
-		Entries: entries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+// check exits on a failed measurement: a benchmark that cannot complete has
+// no number to report.
+func check(err error, what string) {
 	if err != nil {
-		return err
+		fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", what, err)
+		os.Exit(1)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// timeMedian runs fn reps times and returns the median duration.
-func timeMedian(reps int, fn func() error) (time.Duration, error) {
-	durs := make([]float64, 0, reps)
-	for i := 0; i < reps; i++ {
+// benchCase is one case of a table. run performs it once and returns what
+// it measured; a returned row with an empty Case belongs to this case.
+type benchCase struct {
+	name string
+	run  func() ([]row, error)
+}
+
+// measure is the one aggregation every table uses. It runs all cases once
+// unmeasured (warm-up: page in code, grow the heap), then reps rounds with
+// the cases interleaved within each round, so every case sees the same
+// machine drift and ratios between cases stay honest. Each row's value is
+// the median of its per-round values.
+func measure(table string, reps int, cases []benchCase) []row {
+	var keys []row
+	vals := map[row][]float64{}
+	for r := 0; r <= reps; r++ {
+		for _, c := range cases {
+			got, err := c.run()
+			check(err, table+"/"+c.name)
+			if r == 0 {
+				continue
+			}
+			for _, g := range got {
+				k := row{Table: table, Case: g.Case, Unit: g.Unit}
+				if k.Case == "" {
+					k.Case = c.name
+				}
+				if _, ok := vals[k]; !ok {
+					keys = append(keys, k)
+				}
+				vals[k] = append(vals[k], g.Value)
+			}
+		}
+	}
+	for i, k := range keys {
+		med, err := metrics.Median(vals[k])
+		check(err, table+"/"+k.Case)
+		keys[i].Value = med
+	}
+	return keys
+}
+
+// timed runs fn once and reports one row: per / elapsed seconds when unit
+// is a rate, otherwise elapsed nanoseconds / per.
+func timed(unit string, per int, fn func() error) func() ([]row, error) {
+	return func() ([]row, error) {
 		start := time.Now()
 		if err := fn(); err != nil {
-			return 0, err
+			return nil, err
 		}
-		durs = append(durs, float64(time.Since(start)))
+		d := time.Since(start)
+		v := float64(d.Nanoseconds()) / float64(per)
+		if strings.HasSuffix(unit, "/s") {
+			v = float64(per) / d.Seconds()
+		}
+		return []row{{Unit: unit, Value: v}}, nil
 	}
-	med, err := metrics.Median(durs)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(med), nil
 }
 
-func problemTable(reps, scale int) {
-	t := metrics.NewTable("CROSS-MODEL PERFORMANCE: classical problems (median wall time)",
-		"Problem", "threads", "actors", "coroutines", "fastest")
+// titles heads each printed table.
+var titles = map[string]string{
+	"problems":   "CROSS-MODEL PERFORMANCE: classical problems, wall time in ms (EXPERIMENTS.md)",
+	"micro":      "MODEL MICROBENCHMARKS",
+	"tell flood": "ACTOR HOT PATH: Tell flood into one actor (docs/PERF.md)",
+	"remote":     "REMOTE ACTORS: node-to-node wire (docs/REMOTE.md)",
+	"wire":       "WIRE CODEC: one frame through the streaming codec (docs/REMOTE.md)",
+	"overload":   "OVERLOAD PROTECTION: credit-limited flood vs offered load (docs/REMOTE.md)",
+	"explore":    "EXPLORER THROUGHPUT: full state-space search (docs/PERF.md)",
+	"cluster":    "CLUSTER SHARDING: presence load vs node kill (docs/CLUSTER.md)",
+	"obs":        "INSTRUMENTATION OVERHEAD vs the untraced 8-sender flood (docs/OBSERVABILITY.md)",
+	"trace":      "DISTRIBUTED TRACING OVERHEAD vs the untraced baselines (docs/OBSERVABILITY.md)",
+}
+
+// printTables prints rows one table at a time: a line per case, a column
+// per unit. The problem table pivots models into columns instead and adds
+// the fastest model.
+func printTables(rows []row) {
+	var tables []string
+	for _, r := range rows {
+		if !slices.Contains(tables, r.Table) {
+			tables = append(tables, r.Table)
+		}
+	}
+	for _, table := range tables {
+		var lines, cols []string
+		cells := map[[2]string]float64{}
+		for _, r := range rows {
+			if r.Table != table {
+				continue
+			}
+			line, col := r.Case, r.Unit
+			if table == "problems" {
+				line, col, _ = strings.Cut(r.Case, "/")
+			}
+			if !slices.Contains(lines, line) {
+				lines = append(lines, line)
+			}
+			if !slices.Contains(cols, col) {
+				cols = append(cols, col)
+			}
+			cells[[2]string{line, col}] = r.Value
+		}
+		headers := append([]string{"Case"}, cols...)
+		if table == "problems" {
+			headers = append(headers, "fastest")
+		}
+		t := metrics.NewTable(titles[table], headers...)
+		for _, line := range lines {
+			out := []string{line}
+			fastest := ""
+			for _, col := range cols {
+				v, ok := cells[[2]string{line, col}]
+				if !ok {
+					out = append(out, "-")
+					continue
+				}
+				out = append(out, format(v))
+				if fastest == "" || v < cells[[2]string{line, fastest}] {
+					fastest = col
+				}
+			}
+			if table == "problems" {
+				out = append(out, fastest)
+			}
+			t.AddRow(out...)
+		}
+		fmt.Println(t)
+	}
+}
+
+// format renders a value compactly: k/M suffixes for large numbers, no
+// decimals from 100 up or for whole numbers, two decimals down to 1, and
+// three significant digits below that.
+func format(v float64) string {
+	switch a := max(v, -v); {
+	case a >= 1e6:
+		return fmt.Sprintf("%.2fM", v/1e6)
+	case a >= 1e4:
+		return fmt.Sprintf("%.1fk", v/1e3)
+	case a >= 100 || v == float64(int64(v)):
+		return fmt.Sprintf("%.0f", v)
+	case a >= 1:
+		return fmt.Sprintf("%.2f", v)
+	default:
+		return fmt.Sprintf("%.3g", v)
+	}
+}
+
+// overheadRows derives the obs and trace tables: each instrumented case's
+// cost relative to its untraced baseline, measured in the same interleaved
+// group.
+func overheadRows(rows []row) []row {
+	value := func(table, c, unit string) float64 {
+		for _, r := range rows {
+			if r.Table == table && r.Case == c && r.Unit == unit {
+				return r.Value
+			}
+		}
+		panic("benchtables: no row " + table + "/" + c + "/" + unit)
+	}
+	var out []row
+	baseFlood := value("tell flood", floodBaseline, "msgs/s")
+	for _, c := range floodCases {
+		if c.overhead != "" {
+			rate := value("tell flood", c.name, "msgs/s")
+			out = append(out, row{c.overhead, "tell flood, " + c.name, "% overhead", (baseFlood - rate) / baseFlood * 100})
+		}
+	}
+	basePing := value("remote", pingBaseline, "ns/round-trip")
+	for _, c := range pingCases {
+		if c.sample != 0 {
+			ns := value("remote", c.name, "ns/round-trip")
+			out = append(out, row{"trace", c.name, "% overhead", (ns - basePing) / basePing * 100})
+		}
+	}
+	return out
+}
+
+func problemTable(reps, scale int) []row {
 	params := map[string]core.Params{
 		"boundedbuffer":      {"producers": 4, "consumers": 4, "items": 2000 / scale, "capacity": 16},
 		"diningphilosophers": {"philosophers": 5, "meals": 400 / scale},
@@ -306,123 +318,165 @@ func problemTable(reps, scale int) {
 		"sumworkers":         {"workers": 8, "n": 400000 / scale},
 		"threadpool":         {"workers": 4, "tasks": 4000 / scale, "queue": 16},
 	}
+	var cases []benchCase
 	for _, name := range core.Default.Names() {
 		spec, _ := core.Default.Get(name)
 		if len(spec.Runs) < len(core.AllModels) {
 			continue // cross-model rows need all three models (skips chaos variants)
 		}
-		row := []string{name}
-		best := core.Threads
-		var bestDur time.Duration
 		for _, m := range core.AllModels {
-			d, err := timeMedian(reps, func() error {
+			cases = append(cases, benchCase{name + "/" + m.String(), func() ([]row, error) {
+				start := time.Now()
 				_, err := spec.Run(m, params[name], 1)
-				return err
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %s/%s: %v\n", name, m, err)
-				os.Exit(1)
-			}
-			row = append(row, d.Round(time.Microsecond).String())
-			if bestDur == 0 || d < bestDur {
-				bestDur, best = d, m
-			}
+				return []row{{Unit: "ms", Value: float64(time.Since(start)) / 1e6}}, err
+			}})
 		}
-		row = append(row, best.String())
-		t.AddRow(row...)
 	}
-	fmt.Print(t)
+	return measure("problems", reps, cases)
 }
 
-func microTable(reps, scale int) {
-	t := metrics.NewTable("MODEL MICROBENCHMARKS (median, lower is better)",
-		"Operation", "cost")
+func microTable(reps, scale int) []row {
 	n := 100000 / scale
-
-	add := func(name string, per int, fn func() error) {
-		d, err := timeMedian(reps, fn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
-			os.Exit(1)
+	idle := 100000 / scale
+	idleSpawn := func(mode actors.DispatchMode) func() ([]row, error) {
+		return func() ([]row, error) {
+			before := runtime.NumGoroutine()
+			sys := actors.NewSystem(actors.Config{Dispatcher: mode})
+			for i := 0; i < idle; i++ {
+				sys.MustSpawn("idle", func(ctx *actors.Context, msg any) {})
+			}
+			perActor := float64(runtime.NumGoroutine()-before) / float64(idle)
+			sys.Shutdown()
+			return []row{{Unit: "goroutines/actor", Value: perActor}}, nil
 		}
-		t.AddRow(name, fmt.Sprintf("%.0f ns/op", float64(d.Nanoseconds())/float64(per)))
 	}
-
-	add("goroutine spawn+join (threads substrate)", n, func() error {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go wg.Done()
-		}
-		wg.Wait()
-		return nil
-	})
-	add("actor spawn+stop", n/10, func() error {
-		sys := actors.NewSystem(actors.Config{})
-		for i := 0; i < n/10; i++ {
-			ref := sys.MustSpawn("a", func(ctx *actors.Context, msg any) {})
-			_ = ref
-		}
-		sys.Shutdown()
-		return nil
-	})
-	add("coroutine create+drain", n/10, func() error {
-		for i := 0; i < n/10; i++ {
-			co := coro.New(func(y *coro.Yielder, in any) any { return in })
-			if _, _, err := co.Resume(nil); err != nil {
-				return err
+	return measure("micro", reps, []benchCase{
+		{"goroutine spawn+join (threads substrate)", timed("ns/op", n, func() error {
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go wg.Done()
 			}
-		}
-		return nil
-	})
-	add("monitor enter/exit", n, func() error {
-		var m threads.Monitor
-		for i := 0; i < n; i++ {
-			m.Enter()
-			m.Exit()
-		}
-		return nil
-	})
-	add("actor message round trip", n/10, func() error {
-		sys := actors.NewSystem(actors.Config{})
-		defer sys.Shutdown()
-		done := make(chan struct{})
-		count := 0
-		var echo *actors.Ref
-		pinger := sys.MustSpawn("pinger", func(ctx *actors.Context, msg any) {
-			count++
-			if count >= n/10 {
-				close(done)
-				return
+			wg.Wait()
+			return nil
+		})},
+		{"actor spawn+stop", timed("ns/op", n/10, func() error {
+			sys := actors.NewSystem(actors.Config{})
+			for i := 0; i < n/10; i++ {
+				sys.MustSpawn("a", func(ctx *actors.Context, msg any) {})
 			}
-			ctx.Send(echo, struct{}{})
-		})
-		echo = sys.MustSpawn("echo", func(ctx *actors.Context, msg any) { ctx.Reply(msg) })
-		pinger.Tell(struct{}{})
-		<-done
-		return nil
-	})
-	add("coroutine yield/resume round trip", n, func() error {
-		co := coro.New(func(y *coro.Yielder, in any) any {
-			for {
-				y.Yield(nil)
+			sys.Shutdown()
+			return nil
+		})},
+		{"coroutine create+drain", timed("ns/op", n/10, func() error {
+			for i := 0; i < n/10; i++ {
+				co := coro.New(func(y *coro.Yielder, in any) any { return in })
+				if _, _, err := co.Resume(nil); err != nil {
+					return err
+				}
 			}
-		})
-		for i := 0; i < n; i++ {
-			if _, _, err := co.Resume(nil); err != nil {
-				return err
+			return nil
+		})},
+		{"monitor enter/exit", timed("ns/op", n, func() error {
+			var m threads.Monitor
+			for i := 0; i < n; i++ {
+				m.Enter()
+				m.Exit()
 			}
-		}
-		return nil
+			return nil
+		})},
+		{"actor message round trip", timed("ns/op", n/10, func() error {
+			sys := actors.NewSystem(actors.Config{})
+			defer sys.Shutdown()
+			done := make(chan struct{})
+			count := 0
+			var echo *actors.Ref
+			pinger := sys.MustSpawn("pinger", func(ctx *actors.Context, msg any) {
+				count++
+				if count >= n/10 {
+					close(done)
+					return
+				}
+				ctx.Send(echo, struct{}{})
+			})
+			echo = sys.MustSpawn("echo", func(ctx *actors.Context, msg any) { ctx.Reply(msg) })
+			pinger.Tell(struct{}{})
+			<-done
+			return nil
+		})},
+		{"coroutine yield/resume round trip", timed("ns/op", n, func() error {
+			co := coro.New(func(y *coro.Yielder, in any) any {
+				for {
+					y.Yield(nil)
+				}
+			})
+			for i := 0; i < n; i++ {
+				if _, _, err := co.Resume(nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})},
+		{fmt.Sprintf("spawn %dk idle actors (dedicated)", idle/1000), idleSpawn(actors.Dedicated)},
+		{fmt.Sprintf("spawn %dk idle actors (pooled)", idle/1000), idleSpawn(actors.Pooled)},
 	})
-	fmt.Print(t)
 }
 
-// benchEntry is one row of the mailbox/dispatcher baseline (BENCH_mailbox.json).
-type benchEntry struct {
-	Name   string  `json:"name"`
-	Metric string  `json:"metric"`
-	Value  float64 `json:"value"`
+// floodBaseline is the tell flood every obs and trace case is compared
+// against: the ring mailbox on a plain Config, 8 senders.
+const floodBaseline = "ring, 8 senders"
+
+// floodCases are the Tell flood variants. overhead names the derived table
+// that reports a case's cost relative to floodBaseline. The "locked
+// mailbox" case forces the mutex+cond path via a cap far above the
+// workload, isolating the chunked ring on an otherwise identical system.
+var floodCases = []struct {
+	name     string
+	senders  int
+	overhead string
+	cfg      func() actors.Config
+}{
+	{"ring, 1 sender", 1, "", plainConfig},
+	{floodBaseline, 8, "", plainConfig},
+	{"locked mailbox, 8 senders", 8, "", func() actors.Config { return actors.Config{MailboxCap: 1 << 30} }},
+	{"ring + pooled dispatch, 8 senders", 8, "", func() actors.Config { return actors.Config{Dispatcher: actors.Pooled} }},
+	{"obs, sample 1/64 (default)", 8, "obs", obsConfig(0, false)},
+	{"obs + conservation ledger", 8, "obs", obsConfig(0, true)},
+	{"obs, every message (sample 1)", 8, "obs", obsConfig(1, false)},
+	{"traced 1/64 (default)", 8, "trace", tracedConfig(64)},
+	{"traced every message", 8, "trace", tracedConfig(1)},
+}
+
+func plainConfig() actors.Config { return actors.Config{} }
+
+func obsConfig(sample int, conserve bool) func() actors.Config {
+	return func() actors.Config {
+		o := actors.NewObs(metrics.NewRegistry(), "actors")
+		o.Sample = sample
+		o.Conserve = conserve
+		return actors.Config{Obs: o}
+	}
+}
+
+func tracedConfig(sample int) func() actors.Config {
+	return func() actors.Config { return actors.Config{Tracer: trace.NewTracer(sample, 0)} }
+}
+
+// tellFloodTable measures the actor hot path: one Tell flood, timed from
+// system start to shutdown, under every mailbox, dispatcher, observability
+// and tracing configuration. Interleaving matters most here: obs and trace
+// overhead are ratios against floodBaseline, and drift over the seconds a
+// back-to-back sweep takes would read as fake overhead.
+func tellFloodTable(reps, scale int) []row {
+	n := 200000 / scale
+	var cases []benchCase
+	for _, c := range floodCases {
+		cases = append(cases, benchCase{c.name, func() ([]row, error) {
+			cfg := c.cfg()
+			return timed("msgs/s", n, func() error { return tellFloodOnce(cfg, c.senders, n) })()
+		}})
+	}
+	return measure("tell flood", reps, cases)
 }
 
 // tellFloodOnce floods one actor with n messages from the given number of
@@ -455,86 +509,4 @@ func tellFloodOnce(cfg actors.Config, senders, n int) error {
 	wg.Wait()
 	<-done
 	return nil
-}
-
-// tellThroughput returns the flood's msgs/sec (median of reps runs).
-func tellThroughput(reps int, cfg actors.Config, senders, n int) (float64, error) {
-	d, err := timeMedian(reps, func() error { return tellFloodOnce(cfg, senders, n) })
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) / d.Seconds(), nil
-}
-
-// mailboxTable prints the actor hot-path numbers (see docs/PERF.md) and
-// returns them for the -json baseline. The "locked mailbox" row forces the
-// seed's mutex+cond path via a cap far above the workload, so the two rows
-// isolate the chunked-ring rewrite on an otherwise identical system.
-func mailboxTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("ACTOR HOT PATH: mailbox & dispatcher (docs/PERF.md)",
-		"Case", "value")
-	var entries []benchEntry
-	n := 200000 / scale
-
-	addTell := func(name string, cfg actors.Config, senders int) {
-		rate, err := tellThroughput(reps, cfg, senders, n)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		t.AddRow(name, fmt.Sprintf("%.2fM msgs/sec", rate/1e6))
-		entries = append(entries, benchEntry{Name: name, Metric: "msgs/sec", Value: rate})
-	}
-	lockCap := 1 << 30 // far above n: bounded semantics never bite
-	addTell("tell ring mailbox, 1 sender", actors.Config{}, 1)
-	addTell("tell ring mailbox, 8 senders", actors.Config{}, 8)
-	addTell("tell locked mailbox, 8 senders", actors.Config{MailboxCap: lockCap}, 8)
-	addTell("tell ring + pooled dispatch, 8 senders", actors.Config{Dispatcher: actors.Pooled}, 8)
-
-	idle := 100000 / scale
-	for _, mode := range []actors.DispatchMode{actors.Dedicated, actors.Pooled} {
-		name := fmt.Sprintf("spawn %dk idle actors (%s)", idle/1000, mode)
-		var perActor float64
-		_, err := timeMedian(reps, func() error {
-			before := runtime.NumGoroutine()
-			sys := actors.NewSystem(actors.Config{Dispatcher: mode})
-			for i := 0; i < idle; i++ {
-				sys.MustSpawn("idle", func(ctx *actors.Context, msg any) {})
-			}
-			perActor = float64(runtime.NumGoroutine()-before) / float64(idle)
-			sys.Shutdown()
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		t.AddRow(name, fmt.Sprintf("%.3f goroutines/actor", perActor))
-		entries = append(entries, benchEntry{Name: name, Metric: "goroutines/actor", Value: perActor})
-	}
-	fmt.Print(t)
-	return entries
-}
-
-// writeBaseline persists the mailbox/dispatcher entries as the committed
-// regression baseline. Values are machine-dependent: the file records the
-// shape of the numbers (ratios, goroutine counts), not portable absolutes.
-func writeBaseline(path string, scale int, entries []benchEntry) error {
-	doc := struct {
-		Note    string       `json:"note"`
-		Command string       `json:"command"`
-		Scale   int          `json:"scale"`
-		Entries []benchEntry `json:"entries"`
-	}{
-		Note: "Actor mailbox/dispatcher baseline. Machine-dependent: compare " +
-			"ratios (ring vs locked, dedicated vs pooled), not absolutes.",
-		Command: "go run ./cmd/benchtables -json BENCH_mailbox.json",
-		Scale:   scale,
-		Entries: entries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

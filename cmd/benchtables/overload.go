@@ -1,15 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/actors"
-	"repro/internal/metrics"
 	"repro/internal/remote"
 )
 
@@ -24,30 +21,15 @@ import (
 // how many messages the overload machinery shed into the DLOverloaded
 // ledger during the paced phase.
 func overloadRun(mult int, runFor time.Duration, service time.Duration) (rate float64, p99 time.Duration, shed int64, err error) {
-	net := remote.NewMemNetwork()
-	mk := func(addr string) (*remote.Node, error) {
-		return remote.NewNode(remote.Config{
-			ListenAddr: addr, Transport: net.Endpoint(addr),
-			HeartbeatInterval: 5 * time.Millisecond,
-			HeartbeatTimeout:  500 * time.Millisecond,
-			CreditWindow:      256,
-			OutboxCap:         128,
-			Seed:              1,
-		})
-	}
-	na, err := mk("load-a")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer na.Close()
-	nb, err := mk("load-b")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer nb.Close()
-
 	var seen atomic.Int64
-	sink := nb.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
+	base := remote.Config{
+		HeartbeatInterval: 5 * time.Millisecond,
+		HeartbeatTimeout:  500 * time.Millisecond,
+		CreditWindow:      256,
+		OutboxCap:         128,
+		Seed:              1,
+	}
+	na, nb, ref, stop, err := nodePair(base, false, 0, func(ctx *actors.Context, msg any) {
 		if p, ok := msg.(benchPing); ok {
 			seen.Add(1)
 			time.Sleep(service)
@@ -56,14 +38,10 @@ func overloadRun(mult int, runFor time.Duration, service time.Duration) (rate fl
 			}
 		}
 	})
-	nb.Register("sink", sink)
-	ref, err := na.RefFor("sink@load-b")
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if err := na.Connect("load-b", 5*time.Second); err != nil {
-		return 0, 0, 0, err
-	}
+	defer stop()
 
 	var offered atomic.Int64
 	curShed := func() int64 {
@@ -144,70 +122,24 @@ func overloadRun(mult int, runFor time.Duration, service time.Duration) (rate fl
 	return rate, p99, shed, nil
 }
 
-// overloadTable prints the overload-protection numbers — achieved
-// throughput, ask p99, and shed volume at 1×, 4×, and 16× the sink's
-// service rate — and returns them for the -json-overload baseline
-// (BENCH_overload.json). The story the table tells: past saturation the
-// achieved rate stays pinned near capacity and the excess is shed at the
-// sender's outbox, while ask latency stays bounded instead of growing with
-// the queue.
-func overloadTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("OVERLOAD PROTECTION: credit-limited flood vs offered load (docs/REMOTE.md)",
-		"Offered load", "achieved", "ask p99", "shed")
-	var entries []benchEntry
+// overloadTable measures overload protection: achieved throughput, ask
+// p99, and shed volume at 1x, 4x, and 16x the sink's service rate. Past
+// saturation the achieved rate should stay pinned near capacity and the
+// excess be shed at the sender's outbox, while ask latency stays bounded
+// instead of growing with the queue.
+func overloadTable(reps, scale int) []row {
 	const service = 50 * time.Microsecond // nominal; capacity is calibrated per run
 	runFor := time.Duration(2000/scale) * time.Millisecond
-
+	var cases []benchCase
 	for _, mult := range []int{1, 4, 16} {
-		var rate float64
-		var p99 time.Duration
-		var shed int64
-		_, err := timeMedian(reps, func() error {
-			r, p, s, err := overloadRun(mult, runFor, service)
-			rate, p99, shed = r, p, s
-			return err
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: overload %dx: %v\n", mult, err)
-			os.Exit(1)
-		}
-		name := fmt.Sprintf("%dx service rate", mult)
-		t.AddRow(name,
-			fmt.Sprintf("%.2fk msgs/sec", rate/1e3),
-			fmt.Sprintf("%.1f ms", float64(p99.Microseconds())/1e3),
-			fmt.Sprintf("%d msgs", shed))
-		entries = append(entries,
-			benchEntry{Name: name, Metric: "msgs/sec", Value: rate},
-			benchEntry{Name: name, Metric: "ask p99 ms", Value: float64(p99.Microseconds()) / 1e3},
-			benchEntry{Name: name, Metric: "shed msgs", Value: float64(shed)})
+		cases = append(cases, benchCase{fmt.Sprintf("%dx service rate", mult), func() ([]row, error) {
+			rate, p99, shed, err := overloadRun(mult, runFor, service)
+			return []row{
+				{Unit: "msgs/s", Value: rate},
+				{Unit: "ask p99 ms", Value: float64(p99.Microseconds()) / 1e3},
+				{Unit: "shed msgs", Value: float64(shed)},
+			}, err
+		}})
 	}
-
-	fmt.Print(t)
-	return entries
-}
-
-// writeOverloadBaseline persists the overload-protection entries as the
-// committed regression baseline (BENCH_overload.json).
-func writeOverloadBaseline(path string, scale int, entries []benchEntry) error {
-	doc := struct {
-		Note    string       `json:"note"`
-		Command string       `json:"command"`
-		Scale   int          `json:"scale"`
-		Entries []benchEntry `json:"entries"`
-	}{
-		Note: "Overload-protection baseline: achieved throughput, ask p99, and " +
-			"shed volume at 1x/4x/16x the sink's measured capacity under " +
-			"credit-based flow control (CreditWindow 256, OutboxCap 128, sink " +
-			"service time calibrated per run). Machine-dependent: compare shapes " +
-			"(achieved pinned near capacity past saturation, bounded p99), not " +
-			"absolute rates.",
-		Command: "go run ./cmd/benchtables -overload -json-overload BENCH_overload.json",
-		Scale:   scale,
-		Entries: entries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return measure("overload", reps, cases)
 }

@@ -1,18 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/actors"
-	"repro/internal/metrics"
 	"repro/internal/remote"
+	"repro/internal/trace"
 )
 
-// Wire payloads for the remote benchmarks (gob needs exported fields).
+// Wire payloads for the remote benchmarks.
 type benchPing struct{ N int }
 type benchPong struct{ N int }
 
@@ -21,168 +19,165 @@ func init() {
 	remote.RegisterType(benchPong{})
 }
 
-// remotePair builds two connected nodes with an echo actor on the far one.
-func remotePair(mem bool) (near *remote.Node, echoRef *actors.Ref, cleanup func(), err error) {
-	var ta, tb remote.Transport
-	addrA, addrB := "127.0.0.1:0", "127.0.0.1:0"
-	if mem {
-		net := remote.NewMemNetwork()
-		addrA, addrB = "bench-near", "bench-far"
-		ta, tb = net.Endpoint(addrA), net.Endpoint(addrB)
-	} else {
-		ta, tb = remote.TCPTransport{}, remote.TCPTransport{}
-	}
-	na, err := remote.NewNode(remote.Config{ListenAddr: addrA, Transport: ta})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nb, err := remote.NewNode(remote.Config{ListenAddr: addrB, Transport: tb})
-	if err != nil {
-		na.Close()
-		return nil, nil, nil, err
-	}
-	echo := nb.System().MustSpawn("echo", func(ctx *actors.Context, msg any) {
-		if p, ok := msg.(benchPing); ok {
-			ctx.Reply(benchPong{N: p.N})
+// preRewriteMemFlood is the mem-transport tell-flood rate committed before
+// the wire hot-path rewrite (self-contained gob codec, per-frame sends, no
+// pooling). The remote table reports the current rate against it so the
+// speedup the rewrite bought stays visible as a number.
+const preRewriteMemFlood = 28288.85 // msgs/sec
+
+// nodePair starts two nodes from base, over loopback TCP or the in-process
+// transport, spawns far as "far" on the second, and returns both nodes, a
+// connected Ref to that actor, and a stop func that closes everything it
+// started. sample > 0 traces both systems, 1 in sample sends.
+func nodePair(base remote.Config, tcp bool, sample int, far actors.Behavior) (na, nb *remote.Node, ref *actors.Ref, stop func(), err error) {
+	net := remote.NewMemNetwork()
+	var closers []func()
+	stop = func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
 		}
-	})
-	nb.Register("echo", echo)
-	ref, err := na.RefFor("echo@" + nb.Addr())
+	}
+	start := func(addr string) (*remote.Node, error) {
+		cfg := base
+		cfg.ListenAddr, cfg.Transport = addr, net.Endpoint(addr)
+		if tcp {
+			cfg.ListenAddr, cfg.Transport = "127.0.0.1:0", remote.TCPTransport{}
+		}
+		if sample > 0 {
+			tr := trace.NewTracer(sample, 0)
+			tr.SetNode(addr)
+			cfg.System = actors.NewSystem(actors.Config{Tracer: tr})
+			closers = append(closers, cfg.System.Shutdown) // a node closes only a system it made
+		}
+		n, err := remote.NewNode(cfg)
+		if err == nil {
+			closers = append(closers, func() { n.Close() })
+		}
+		return n, err
+	}
+	if na, err = start("bench-near"); err == nil {
+		nb, err = start("bench-far")
+	}
+	if err == nil {
+		nb.Register("far", nb.System().MustSpawn("far", far))
+		ref, err = na.RefFor("far@" + nb.Addr())
+	}
 	if err == nil {
 		err = na.Connect(nb.Addr(), 5*time.Second)
 	}
 	if err != nil {
-		na.Close()
-		nb.Close()
-		return nil, nil, nil, err
+		stop()
+		return nil, nil, nil, nil, err
 	}
-	return na, ref, func() { na.Close(); nb.Close() }, nil
+	return na, nb, ref, stop, nil
 }
 
-// remoteTable prints node-to-node wire numbers (the distribution layer's
-// half of the performance story; see docs/REMOTE.md) and returns them for
-// the -json-remote baseline (BENCH_remote.json).
-func remoteTable(reps, scale int) []benchEntry {
-	t := metrics.NewTable("REMOTE ACTORS: node-to-node wire (docs/REMOTE.md)",
-		"Case", "value")
-	var entries []benchEntry
-
-	pingPong := func(name string, mem bool, n int) {
-		var perOp float64
-		_, err := timeMedian(reps, func() error {
-			na, ref, cleanup, err := remotePair(mem)
-			if err != nil {
-				return err
+// pingPong times n Ask round trips to an echo actor on a second node.
+func pingPong(tcp bool, sample, n int) func() ([]row, error) {
+	return func() ([]row, error) {
+		na, _, ref, stop, err := nodePair(remote.Config{}, tcp, sample, func(ctx *actors.Context, msg any) {
+			if p, ok := msg.(benchPing); ok {
+				ctx.Reply(benchPong{N: p.N})
 			}
-			defer cleanup()
-			start := time.Now()
+		})
+		if err != nil {
+			return nil, err
+		}
+		defer stop()
+		return timed("ns/round-trip", n, func() error {
 			for i := 0; i < n; i++ {
 				if _, err := actors.Ask(na.System(), ref, benchPing{N: i}, 30*time.Second); err != nil {
 					return fmt.Errorf("iter %d: %w", i, err)
 				}
 			}
-			perOp = float64(time.Since(start).Nanoseconds()) / float64(n)
 			return nil
+		})()
+	}
+}
+
+// flood measures one-way Tell throughput between two nodes: n messages into
+// a sink on the far node, timed until the last one is handled. The outbox
+// is sized to the flood, so nothing deadletters; any loss would show as a
+// timeout.
+func flood(tcp bool, n int) func() ([]row, error) {
+	return func() ([]row, error) {
+		var got atomic.Int64
+		done := make(chan struct{})
+		_, _, ref, stop, err := nodePair(remote.Config{OutboxCap: n + 16}, tcp, 0, func(ctx *actors.Context, msg any) {
+			if got.Add(1) == int64(n) {
+				close(done)
+			}
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
-			os.Exit(1)
+			return nil, err
 		}
-		t.AddRow(name, fmt.Sprintf("%.0f ns/round-trip", perOp))
-		entries = append(entries, benchEntry{Name: name, Metric: "ns/round-trip", Value: perOp})
-	}
-
-	n := 2000 / scale
-	pingPong("remote ping-pong (mem transport)", true, n)
-	pingPong("remote ping-pong (loopback tcp)", false, n)
-
-	throughput := func(name string, mem bool, n int) {
-		var rate float64
-		_, err := timeMedian(reps, func() error {
-			var ta, tb remote.Transport
-			addrA, addrB := "127.0.0.1:0", "127.0.0.1:0"
-			if mem {
-				net := remote.NewMemNetwork()
-				addrA, addrB = "tp-near", "tp-far"
-				ta, tb = net.Endpoint(addrA), net.Endpoint(addrB)
-			} else {
-				ta, tb = remote.TCPTransport{}, remote.TCPTransport{}
-			}
-			na, err := remote.NewNode(remote.Config{ListenAddr: addrA, Transport: ta, OutboxCap: n + 16})
-			if err != nil {
-				return err
-			}
-			defer na.Close()
-			nb, err := remote.NewNode(remote.Config{ListenAddr: addrB, Transport: tb})
-			if err != nil {
-				return err
-			}
-			defer nb.Close()
-			var got atomic.Int64
-			done := make(chan struct{})
-			sink := nb.System().MustSpawn("sink", func(ctx *actors.Context, msg any) {
-				if got.Add(1) == int64(n) {
-					close(done)
-				}
-			})
-			nb.Register("sink", sink)
-			ref, err := na.RefFor("sink@" + nb.Addr())
-			if err != nil {
-				return err
-			}
-			if err := na.Connect(nb.Addr(), 5*time.Second); err != nil {
-				return err
-			}
-			start := time.Now()
+		defer stop()
+		rows, err := timed("msgs/s", n, func() error {
 			for i := 0; i < n; i++ {
 				ref.Tell(benchPing{N: i})
 			}
 			select {
 			case <-done:
+				return nil
 			case <-time.After(60 * time.Second):
 				return fmt.Errorf("only %d/%d frames arrived", got.Load(), n)
 			}
-			rate = float64(n) / time.Since(start).Seconds()
-			// The outbox is sized to the flood, so nothing deadletters; any
-			// loss would show as a hang caught above.
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", name, err)
-			os.Exit(1)
+		})()
+		if err == nil && !tcp {
+			rows = append(rows, row{Unit: "x pre-rewrite baseline", Value: rows[0].Value / preRewriteMemFlood})
 		}
-		t.AddRow(name, fmt.Sprintf("%.2fk msgs/sec", rate/1e3))
-		entries = append(entries, benchEntry{Name: name, Metric: "msgs/sec", Value: rate})
+		return rows, err
 	}
-	tn := 20000 / scale
-	throughput("remote tell flood (mem transport)", true, tn)
-	throughput("remote tell flood (loopback tcp)", false, tn)
-
-	fmt.Print(t)
-	return entries
 }
 
-// writeRemoteBaseline persists the remote wire entries as the committed
-// regression baseline (BENCH_remote.json).
-func writeRemoteBaseline(path string, scale int, entries []benchEntry) error {
-	doc := struct {
-		Note    string       `json:"note"`
-		Command string       `json:"command"`
-		Scale   int          `json:"scale"`
-		Entries []benchEntry `json:"entries"`
-	}{
-		Note: "Remote actor wire baseline (default streaming codec, " +
-			"length-prefixed frames). Machine-dependent: compare mem vs tcp " +
-			"and ping-pong vs flood ratios, not absolutes. The pre-rewrite " +
-			"gob-codec flood this replaced is pinned as a constant in " +
-			"cmd/benchtables/wire.go.",
-		Command: "go run ./cmd/benchtables -remote -json-remote BENCH_remote.json",
-		Scale:   scale,
-		Entries: entries,
+// pingBaseline is the ping-pong every traced ping-pong is compared against.
+const pingBaseline = "ping-pong, mem"
+
+// pingCases are the remote ping-pong variants; sample > 0 traces both nodes
+// (sampled requests originate at the near node, cross the wire, and finish
+// at the echo handler: the full span serialization cost).
+var pingCases = []struct {
+	name   string
+	tcp    bool
+	sample int
+}{
+	{pingBaseline, false, 0},
+	{"ping-pong, tcp", true, 0},
+	{"ping-pong, mem, traced 1/64 (default)", false, 64},
+	{"ping-pong, mem, traced every message", false, 1},
+}
+
+// remoteTable measures the node-to-node wire: Ask round trips and one-way
+// Tell floods, over the in-process transport and loopback TCP.
+func remoteTable(reps, scale int) []row {
+	var cases []benchCase
+	for _, c := range pingCases {
+		cases = append(cases, benchCase{c.name, pingPong(c.tcp, c.sample, 4000/scale)})
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
+	cases = append(cases,
+		benchCase{"tell flood, mem", flood(false, 20000/scale)},
+		benchCase{"tell flood, tcp", flood(true, 20000/scale)})
+	return measure("remote", reps, cases)
+}
+
+// wireTable measures one frame through the streaming codec (binary header
+// plus streaming payload session), isolated from the link through the
+// benchmark hooks.
+func wireTable(reps, scale int) []row {
+	env := &remote.WireEnvelope{
+		Kind: remote.FrameMsg, To: "sink", FromAddr: "wire-near",
+		FromName: "driver", FromID: 7, Seq: 42, Lamport: 99,
+		Payload: benchPing{N: 7},
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	n := 200000 / scale
+	return measure("wire", reps, []benchCase{
+		{"frame encode", func() ([]row, error) {
+			ns, allocs, bytes := remote.BenchStreamEncode(n, env)
+			return []row{{Unit: "ns/op", Value: ns}, {Unit: "allocs/op", Value: allocs}, {Unit: "B/frame", Value: bytes}}, nil
+		}},
+		{"frame decode", func() ([]row, error) {
+			ns, allocs := remote.BenchStreamDecode(n, env)
+			return []row{{Unit: "ns/op", Value: ns}, {Unit: "allocs/op", Value: allocs}}, nil
+		}},
+	})
 }

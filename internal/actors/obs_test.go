@@ -187,7 +187,7 @@ func tellThroughputOnce(cfg Config, senders, msgs int) float64 {
 // TestInstrumentationOverheadSmoke is the CI bound from the issue: the
 // metrics-enabled Tell path must stay within 15% of uninstrumented —
 // measured here with a generous 50% CI bound because shared runners are
-// noisy (the committed BENCH_obs.json holds quiet-machine numbers).
+// noisy (the obs rows of the committed BENCH.json hold quiet-machine numbers).
 // Opt-in via OBS_OVERHEAD_SMOKE=1; see .github/workflows/ci.yml.
 func TestInstrumentationOverheadSmoke(t *testing.T) {
 	if os.Getenv("OBS_OVERHEAD_SMOKE") == "" {
@@ -219,7 +219,7 @@ func TestInstrumentationOverheadSmoke(t *testing.T) {
 
 // BenchmarkTellParallelSendersObs is the instrumented twin of
 // BenchmarkTellParallelSenders for apples-to-apples overhead comparison
-// (cmd/benchtables -obs renders both).
+// (cmd/benchtables measures both in its tell flood table).
 func BenchmarkTellParallelSendersObs(b *testing.B) {
 	sys := NewSystem(Config{Obs: NewObs(metrics.NewRegistry(), "actors")})
 	defer sys.Shutdown()

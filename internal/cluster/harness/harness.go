@@ -9,7 +9,7 @@
 //     a grain the dead node was hosting.
 //
 // cmd/loadgen is the CLI wrapper (full-scale runs, committed baseline in
-// BENCH_cluster.json); benchtables -cluster runs the same harness at smoke
+// BENCH_cluster.json); cmd/benchtables runs the same harness at smoke
 // scale. Clients are simulated: each is an ID whose presence updates ride
 // AskRetry against its grain, driven by a bounded worker pool — a million
 // clients is a million distinct IDs acknowledged end to end, not a million

@@ -314,9 +314,6 @@ func TestFormatters(t *testing.T) {
 	if F(1.005) != "1.00" && F(1.005) != "1.01" {
 		t.Fatalf("F(1.005) = %q", F(1.005))
 	}
-	if Pct(0.5) != "50.00%" {
-		t.Fatalf("Pct = %q", Pct(0.5))
-	}
 	if I(42) != "42" {
 		t.Fatalf("I = %q", I(42))
 	}

@@ -34,9 +34,6 @@ func (t *Table) AddRowf(format string, args ...any) {
 // F formats a float with 2 decimal places, the precision used in Table II.
 func F(x float64) string { return fmt.Sprintf("%.2f", x) }
 
-// Pct formats a ratio as a percentage with 2 decimal places.
-func Pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }
-
 // I formats an int.
 func I(x int) string { return fmt.Sprintf("%d", x) }
 

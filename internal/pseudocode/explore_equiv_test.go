@@ -164,7 +164,7 @@ func TestExploreBenchSmoke(t *testing.T) {
 		t.Skip("set EXPLORE_BENCH_SMOKE=1 to run the explorer throughput gate")
 	}
 	// Seed baseline measured on the reference machine before the rewrite
-	// (BENCH_explore.json keeps the full table).
+	// (the explore rows of BENCH.json keep the full table).
 	const seedStatesPerSec = 20794 // bridge_message, reference explorer
 	src := CorpusPrograms()["bridge_message"]
 	var best time.Duration
