@@ -411,31 +411,6 @@ func BenchmarkAblationMailboxPerturbation(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationMailboxBounded(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		cap  int
-	}{{"unbounded", 0}, {"cap-1024", 1024}, {"cap-16", 16}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			sys := actors.NewSystem(actors.Config{MailboxCap: cfg.cap})
-			defer sys.Shutdown()
-			done := make(chan struct{})
-			count := 0
-			sink := sys.MustSpawn("sink", func(ctx *actors.Context, msg any) {
-				count++
-				if count == b.N {
-					close(done)
-				}
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink.Tell(i)
-			}
-			<-done
-		})
-	}
-}
-
 func BenchmarkAblationExploreMemo(b *testing.B) {
 	prog, err := pseudocode.CompileSource(fig3Src)
 	if err != nil {

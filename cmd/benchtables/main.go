@@ -427,9 +427,7 @@ func microTable(reps, scale int) []row {
 const floodBaseline = "ring, 8 senders"
 
 // floodCases are the Tell flood variants. overhead names the derived table
-// that reports a case's cost relative to floodBaseline. The "locked
-// mailbox" case forces the mutex+cond path via a cap far above the
-// workload, isolating the chunked ring on an otherwise identical system.
+// that reports a case's cost relative to floodBaseline.
 var floodCases = []struct {
 	name     string
 	senders  int
@@ -438,7 +436,6 @@ var floodCases = []struct {
 }{
 	{"ring, 1 sender", 1, "", plainConfig},
 	{floodBaseline, 8, "", plainConfig},
-	{"locked mailbox, 8 senders", 8, "", func() actors.Config { return actors.Config{MailboxCap: 1 << 30} }},
 	{"ring + pooled dispatch, 8 senders", 8, "", func() actors.Config { return actors.Config{Dispatcher: actors.Pooled} }},
 	{"obs, sample 1/64 (default)", 8, "obs", obsConfig(0, false)},
 	{"obs + conservation ledger", 8, "obs", obsConfig(0, true)},

@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("\nwrote trace.json (%d events) — open it in Perfetto\n", len(rec.Events()))
 
 	if *serveAddr != "" {
-		_, bound, err := obs.Serve(*serveAddr, reg, rec)
+		_, bound, err := obs.ServeDebug(*serveAddr, obs.Debug{Registry: reg, Recorder: rec})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "observability:", err)
 			os.Exit(1)

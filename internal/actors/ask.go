@@ -28,8 +28,7 @@ var ErrActorStopped = errors.New("actors: target actor is stopped")
 // out.
 var ErrPeerUnreachable = errors.New("actors: remote peer unreachable")
 
-// ErrOverloaded is returned by Ask when admission control shed the request:
-// the target's bounded mailbox was full under a shedding policy, or the
+// ErrOverloaded is returned by Ask when a proxy shed the request: the
 // remote link's outbox/credit window had no room. Like ErrPeerUnreachable it
 // is transient — the backlog drains — so AskRetry retries it with backoff
 // rather than failing the call.

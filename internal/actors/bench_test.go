@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // BenchmarkMailboxThroughput is the tentpole number: messages/sec through
@@ -18,7 +17,7 @@ func BenchmarkMailboxThroughput(b *testing.B) {
 		mk   func() mailbox
 	}{
 		{"ring", func() mailbox { return newRingMailbox(0) }},
-		{"locked", func() mailbox { return newLockMailbox(nil, 0, 0, MailboxBlock, time.Millisecond) }},
+		{"locked", func() mailbox { return newLockMailbox(nil, 0) }},
 	}
 	for _, impl := range impls {
 		for _, senders := range []int{1, 8} {
@@ -36,7 +35,7 @@ func BenchmarkMailboxThroughput(b *testing.B) {
 					go func(n int) {
 						defer wg.Done()
 						for i := 0; i < n; i++ {
-							m.put(Envelope{Msg: i}, putWait)
+							m.put(Envelope{Msg: i})
 						}
 					}(n)
 				}
@@ -63,7 +62,7 @@ func BenchmarkMailboxBatchedDrain(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			m := newRingMailbox(0)
 			for i := 0; i < b.N; i++ {
-				m.put(Envelope{Msg: i}, putWait)
+				m.put(Envelope{Msg: i})
 			}
 			b.ResetTimer()
 			got := 0

@@ -11,7 +11,7 @@ type DispatchMode int
 const (
 	// Dedicated gives every actor its own goroutine that blocks on the
 	// mailbox — the seed runtime's model. Behaviors may block freely
-	// (channel ops, Ask, bounded-mailbox sends); the cost is one goroutine
+	// (channel ops, Ask); the cost is one goroutine
 	// (~2KiB stack plus scheduler state) per actor, idle or not.
 	Dedicated DispatchMode = iota
 	// Pooled multiplexes every actor onto a bounded worker pool

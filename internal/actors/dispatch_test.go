@@ -140,38 +140,6 @@ func TestPooledSupervisionRestart(t *testing.T) {
 	}
 }
 
-// TestPooledBoundedBackpressure combines Pooled dispatch with MailboxCap:
-// senders must block on a full mailbox and resume as the pool drains it.
-func TestPooledBoundedBackpressure(t *testing.T) {
-	sys := NewSystem(Config{Dispatcher: Pooled, MailboxCap: 4})
-	defer sys.Shutdown()
-	var handled atomic.Int64
-	slow := sys.MustSpawn("slow", func(ctx *Context, msg any) {
-		time.Sleep(time.Millisecond)
-		handled.Add(1)
-	})
-	const total = 64
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < total; i++ {
-			slow.Tell(i) // blocks whenever the cap is hit
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("bounded sends never completed under pooled dispatch")
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for handled.Load() < total && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if handled.Load() != total {
-		t.Fatalf("handled %d, want %d", handled.Load(), total)
-	}
-}
-
 // TestPooledShutdownDrains: Shutdown under Pooled dispatch must deliver
 // queued messages before the poison pill, like Dedicated mode.
 func TestPooledShutdownDrains(t *testing.T) {

@@ -8,7 +8,6 @@
 package actors
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -45,95 +44,23 @@ type Envelope struct {
 	enqueuedAt int64
 }
 
-// MailboxPolicy selects what a bounded mailbox (Config.MailboxCap) does
-// with a non-control send that arrives while the queue is full. It is the
-// local half of admission control; the remote half is the credit window in
-// internal/remote, and both shed into the same DLOverloaded deadletter kind
-// so overload is observable wherever it bites.
-type MailboxPolicy int
-
-const (
-	// MailboxBlock (default): the sender blocks until a slot opens — classic
-	// bounded-mailbox backpressure. Safe under Dedicated dispatch; under
-	// Pooled dispatch a blocked sender occupies a worker, so prefer
-	// MailboxParkSender there.
-	MailboxBlock MailboxPolicy = iota
-	// MailboxShed: the message is dropped immediately and deadlettered with
-	// kind DLOverloaded. The sender never blocks; Ask fails fast with
-	// ErrOverloaded (transient — AskRetry backs off and retries).
-	MailboxShed
-	// MailboxParkSender: the sender parks for at most Config.ParkTimeout
-	// waiting for a slot, then sheds like MailboxShed. Bounded occupancy —
-	// a pooled worker can stall briefly but can never be captured
-	// indefinitely by one slow consumer, which is what makes backpressure
-	// deadlock-safe on a fixed-size worker pool.
-	MailboxParkSender
-)
-
-func (p MailboxPolicy) String() string {
-	switch p {
-	case MailboxBlock:
-		return "block"
-	case MailboxShed:
-		return "shed"
-	case MailboxParkSender:
-		return "park-sender"
-	default:
-		return fmt.Sprintf("MailboxPolicy(%d)", int(p))
-	}
-}
-
-// putMode tells a mailbox how much waiting a put is allowed to do.
-type putMode int8
-
-const (
-	// putWait: honor the mailbox's admission policy (block / shed / park).
-	putWait putMode = iota
-	// putForce: control message — bypass capacity bounds entirely, so
-	// shutdown and supervision can never be wedged by a full queue.
-	putForce
-	// putNoWait: shed instead of blocking regardless of policy. Used by
-	// conduits (the remote dispatch path) that must never stall their
-	// reader goroutine; their backpressure tool is the credit window, and
-	// a put that would block means credits already failed to prevent
-	// overrun — the honest outcome is a counted shed, not a stalled link.
-	putNoWait
-)
-
-// putResult reports what a mailbox did with an envelope.
-type putResult int8
-
-const (
-	// putOK: the envelope was enqueued.
-	putOK putResult = iota
-	// putClosed: the mailbox is closed; the caller deadletters as DLClosed.
-	putClosed
-	// putShed: admission control refused the envelope (bounded queue full
-	// under MailboxShed / ParkSender / putNoWait); the caller deadletters
-	// as DLOverloaded.
-	putShed
-)
-
-// mailbox is a FIFO queue of envelopes. Two implementations exist:
+// mailbox is an unbounded queue of envelopes: put never blocks, so a send
+// never depends on the receiver's condition. Two implementations exist:
 //
-//   - ringMailbox (ring.go): the throughput fast path — a chunked MPSC
-//     queue with lock-free sends and batched dequeue. Used for unbounded,
-//     unperturbed, uninjected mailboxes (the common case).
-//   - lockMailbox (below): the fully-featured slow path — mutex + condvars,
-//     supporting MailboxCap admission control (block / shed / park-sender)
-//     and PerturbSeed random delivery. Also selected when a fault injector
-//     is configured, so injected fault timing stays identical to the
-//     original runtime.
+//   - ringMailbox (ring.go): the FIFO fast path — a chunked MPSC queue
+//     with lock-free sends and batched dequeue. Used unless delivery is
+//     perturbed (the common case).
+//   - lockMailbox (below): mutex + condvar around a slice, dequeuing a
+//     seeded random pending envelope per take (Config.PerturbSeed).
 //
 // Concurrency contract shared by both: put/close(false)/size may be called
 // from any goroutine; takeN/tryTake/close(true) are single-consumer — only
 // the goroutine (or pooled worker holding the cell's schedule slot) that
 // owns the actor may call them.
 type mailbox interface {
-	// put enqueues an envelope; mode says whether a full bounded mailbox
-	// may block the caller (putWait + MailboxBlock), must shed (putNoWait,
-	// or a shedding policy), or is bypassed entirely (putForce).
-	put(e Envelope, mode putMode) putResult
+	// put enqueues an envelope without blocking. It reports false when the
+	// mailbox is closed; the caller deadletters the envelope as DLClosed.
+	put(e Envelope) bool
 	// takeN appends up to max envelopes to buf, blocking until at least one
 	// is available or the mailbox closes. ok is false when the mailbox is
 	// closed and drained (buf is returned unchanged then).
@@ -141,7 +68,7 @@ type mailbox interface {
 	// tryTake dequeues one envelope without blocking. ok is false when the
 	// mailbox is empty (or closed and drained).
 	tryTake() (e Envelope, ok bool)
-	// close marks the mailbox closed and wakes blocked senders and takers.
+	// close marks the mailbox closed and wakes a blocked taker.
 	// When discard is true it returns what was still queued (for deadletter
 	// accounting); pending messages stay takeable otherwise.
 	close(discard bool) []Envelope
@@ -149,87 +76,55 @@ type mailbox interface {
 	size() int
 }
 
-// newMailbox picks the implementation for one actor: the chunked MPSC ring
-// on the fast path, the lock mailbox whenever a feature that needs it
-// (backpressure, perturbation, fault injection) is active.
+// newMailbox picks the implementation for one actor: the lock mailbox when
+// perturb is non-nil (Config.PerturbSeed), the chunked MPSC ring otherwise.
 //
 // sample, when non-zero (a power of two), makes the mailbox stamp
 // Envelope.enqueuedAt on one in sample accepted puts, using the enqueue
 // tick each implementation already maintains (the ring's reservation
 // counter, the lock mailbox's under-mutex sequence) — so latency sampling
 // adds no shared state to the send path.
-func newMailbox(perturb *rand.Rand, capacity int, injected bool, sample uint64, policy MailboxPolicy, parkFor time.Duration) mailbox {
-	if perturb == nil && capacity <= 0 && !injected {
+func newMailbox(perturb *rand.Rand, sample uint64) mailbox {
+	if perturb == nil {
 		return newRingMailbox(sample)
 	}
-	return newLockMailbox(perturb, capacity, sample, policy, parkFor)
+	return newLockMailbox(perturb, sample)
 }
 
 // lockMailbox is the mutex-guarded slice mailbox. When perturb is non-nil,
 // dequeue picks a uniformly random pending envelope instead of the head,
-// modeling unordered asynchronous delivery. When cap > 0, a full queue
-// applies the configured MailboxPolicy to non-control puts (block / shed /
-// park-sender); control messages bypass the bound.
+// modeling unordered asynchronous delivery.
 //
 // Dequeue is amortized O(1): a head index advances instead of re-slicing,
-// and the backing array is compacted once the dead prefix dominates.
-// Wakeups are split across two condition variables (notEmpty for takers,
-// notFull for bounded senders) and only fired when the matching waiter
-// count is non-zero, so the uncontended enqueue path never pays for a
-// futex wake.
+// and the backing array is compacted once the dead prefix dominates. The
+// taker is only signalled when it is actually waiting, so the uncontended
+// enqueue path never pays for a futex wake.
 type lockMailbox struct {
 	mu          sync.Mutex
 	notEmpty    *sync.Cond // takers wait here
-	notFull     *sync.Cond // bounded senders wait here
 	takeWaiters int        // takers blocked in notEmpty.Wait
-	putWaiters  int        // senders blocked in notFull.Wait
 	queue       []Envelope
 	head        int // queue[head:] are the live entries
 	closed      bool
 	perturb     *rand.Rand
-	cap         int
-	policy      MailboxPolicy // full-queue admission policy (cap > 0 only)
-	parkFor     time.Duration // MailboxParkSender's bounded wait
-	sample      uint64        // latency sampling rate (0 = off); see newMailbox
-	seq         uint64        // accepted puts, the sampling tick; guarded by mu
+	sample      uint64 // latency sampling rate (0 = off); see newMailbox
+	seq         uint64 // accepted puts, the sampling tick; guarded by mu
 }
 
-// parkPoll is the granularity of a MailboxParkSender wait: sync.Cond has no
-// timed wait in Go, so a parked sender polls for a freed slot. 50µs keeps
-// the reaction to a drain prompt while bounding the busy-wait cost.
-const parkPoll = 50 * time.Microsecond
-
-func newLockMailbox(perturb *rand.Rand, capacity int, sample uint64, policy MailboxPolicy, parkFor time.Duration) *lockMailbox {
-	m := &lockMailbox{perturb: perturb, cap: capacity, sample: sample, policy: policy, parkFor: parkFor}
+func newLockMailbox(perturb *rand.Rand, sample uint64) *lockMailbox {
+	m := &lockMailbox{perturb: perturb, sample: sample}
 	m.notEmpty = sync.NewCond(&m.mu)
-	m.notFull = sync.NewCond(&m.mu)
 	return m
 }
 
 // live returns the number of queued envelopes. Caller holds mu.
 func (m *lockMailbox) live() int { return len(m.queue) - m.head }
 
-func (m *lockMailbox) put(e Envelope, mode putMode) putResult {
+func (m *lockMailbox) put(e Envelope) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cap > 0 && mode != putForce && m.live() >= m.cap && !m.closed {
-		switch {
-		case mode == putNoWait || m.policy == MailboxShed:
-			return putShed
-		case m.policy == MailboxParkSender:
-			if !m.parkLocked() {
-				return putShed
-			}
-		default: // MailboxBlock
-			for m.live() >= m.cap && !m.closed {
-				m.putWaiters++
-				m.notFull.Wait()
-				m.putWaiters--
-			}
-		}
-	}
 	if m.closed {
-		return putClosed
+		return false
 	}
 	if m.sample != 0 && m.seq&(m.sample-1) == 0 {
 		e.enqueuedAt = time.Now().UnixNano()
@@ -238,25 +133,6 @@ func (m *lockMailbox) put(e Envelope, mode putMode) putResult {
 	m.queue = append(m.queue, e)
 	if m.takeWaiters > 0 {
 		m.notEmpty.Signal()
-	}
-	return putOK
-}
-
-// parkLocked waits up to m.parkFor for the bounded queue to open a slot,
-// releasing the mutex between polls. True means a slot opened (or the
-// mailbox closed — the caller re-checks closed either way); false means the
-// park timed out and the envelope must shed. The wait is a bounded courtesy,
-// not a guarantee: under sustained overload it converts blocking into a
-// short, fixed-cost delay followed by an honest shed.
-func (m *lockMailbox) parkLocked() bool {
-	deadline := time.Now().Add(m.parkFor)
-	for m.live() >= m.cap && !m.closed {
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		m.mu.Unlock()
-		time.Sleep(parkPoll)
-		m.mu.Lock()
 	}
 	return true
 }
@@ -280,8 +156,8 @@ func (m *lockMailbox) tryTake() (e Envelope, ok bool) {
 	return m.popLocked()
 }
 
-// popLocked removes one envelope (random under perturbation) and wakes one
-// blocked bounded sender for the freed slot. Caller holds mu.
+// popLocked removes one envelope (random under perturbation). Caller holds
+// mu.
 func (m *lockMailbox) popLocked() (e Envelope, ok bool) {
 	if m.live() == 0 {
 		return Envelope{}, false
@@ -305,17 +181,12 @@ func (m *lockMailbox) popLocked() (e Envelope, ok bool) {
 		m.queue = m.queue[:n]
 		m.head = 0
 	}
-	if m.putWaiters > 0 {
-		m.notFull.Signal() // exactly one slot opened: wake one sender
-	}
 	return e, true
 }
 
 // takeN on the lock mailbox intentionally dequeues a single envelope per
-// call: bounded mailboxes keep one-in-one-out backpressure granularity
-// (a bulk drain would release every blocked sender at once), and perturbed
-// mailboxes keep the seed's per-dequeue random draw. Batched dequeue is the
-// ring mailbox's job.
+// call, so a perturbed mailbox keeps the seed's per-dequeue random draw.
+// Batched dequeue is the ring mailbox's job.
 func (m *lockMailbox) takeN(buf []Envelope, max int) ([]Envelope, bool) {
 	e, ok := m.takeOne()
 	if !ok {
@@ -335,7 +206,6 @@ func (m *lockMailbox) close(discard bool) []Envelope {
 		m.head = 0
 	}
 	m.notEmpty.Broadcast()
-	m.notFull.Broadcast()
 	return drained
 }
 

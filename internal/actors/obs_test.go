@@ -93,7 +93,7 @@ func TestConservationUnderChurn(t *testing.T) {
 	}{
 		{"dedicated", Config{}},
 		{"pooled", Config{Dispatcher: Pooled, PoolSize: 4}},
-		{"bounded", Config{MailboxCap: 8}},
+		{"perturbed", Config{PerturbSeed: 1}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {

@@ -20,8 +20,8 @@ import (
 // sender's sends are program-ordered, so per-sender FIFO holds — in fact
 // the ring is globally FIFO, strictly stronger than the actor contract.
 //
-// The ring is only used for unbounded, unperturbed mailboxes, so put never
-// blocks (see newMailbox for the fallback rules).
+// The ring is used for every unperturbed mailbox (see newMailbox); like
+// every mailbox it is unbounded, so put never blocks.
 // 64 slots ≈ 2.6KB per chunk (Envelope is 40 bytes): big enough that the
 // per-chunk allocation + link amortizes to noise, small enough that a
 // short-lived or lightly-loaded actor doesn't carry a 10KB+ first chunk.
@@ -102,8 +102,7 @@ func newRingMailbox(sample uint64) *ringMailbox {
 	return &ringMailbox{wake: make(chan struct{}, 1), sample: sample}
 }
 
-func (m *ringMailbox) put(e Envelope, mode putMode) putResult {
-	_ = mode // the ring is unbounded: no bound to bypass, nothing to shed
+func (m *ringMailbox) put(e Envelope) bool {
 	// One fetch-add is the whole reservation: no retry loop to collapse
 	// under contention. If the closed bit is set in the result the
 	// reservation is void — close() captured the tail before setting the
@@ -111,7 +110,7 @@ func (m *ringMailbox) put(e Envelope, mode putMode) putResult {
 	// simply abandoned (the counter never wraps: 63 bits).
 	s := m.state.Add(1)
 	if s&ringClosed != 0 {
-		return putClosed
+		return false
 	}
 	seq := s - 1
 	if m.sample != 0 && seq&(m.sample-1) == 0 {
@@ -125,7 +124,7 @@ func (m *ringMailbox) put(e Envelope, mode putMode) putResult {
 	c.slots[i] = e
 	c.ready[i].Store(true)
 	m.wakeConsumer()
-	return putOK
+	return true
 }
 
 // wakeConsumer hands the parked consumer its token, if there is one. The

@@ -8,18 +8,25 @@ import (
 	"time"
 )
 
-// movingProxy returns a proxy Ref that reports ProxyMoving for the first
-// `moves` deliveries and forwards to target afterwards — the shape of a
-// cluster shard mid-handoff that lands on its new owner.
-func movingProxy(sys *System, target *Ref, moves int64) *Ref {
+// refusingProxy returns a proxy Ref that reports status for its first
+// `refusals` deliveries and forwards to target afterwards — the shape of a
+// cluster shard mid-handoff that lands on its new owner (ProxyMoving), or a
+// congested link whose backlog drains (ProxyOverloaded). The returned
+// channel is closed after the first refusal.
+func refusingProxy(sys *System, target *Ref, status ProxyStatus, refusals int64) (*Ref, <-chan struct{}) {
 	var n atomic.Int64
-	return sys.NewProxyRef("shard-proxy", func(e Envelope) ProxyStatus {
-		if n.Add(1) <= moves {
-			return ProxyMoving
+	refused := make(chan struct{})
+	ref := sys.NewProxyRef("refusing-proxy", func(e Envelope) ProxyStatus {
+		if k := n.Add(1); k <= refusals {
+			if k == 1 {
+				close(refused)
+			}
+			return status
 		}
 		target.TellFrom(e.Sender, e.Msg)
 		return ProxyDelivered
 	})
+	return ref, refused
 }
 
 // TestAskFailsFastShardMoving: an Ask into a shard that is mid-handoff
@@ -64,7 +71,7 @@ func TestAskRetryRetriesShardMoving(t *testing.T) {
 	grain := sys.MustSpawn("grain", func(ctx *Context, msg any) {
 		ctx.Reply("pong")
 	})
-	ref := movingProxy(sys, grain, 3)
+	ref, _ := refusingProxy(sys, grain, ProxyMoving, 3)
 
 	r, err := AskRetry(sys, ref, "ask", RetryConfig{
 		Attempts: 50,

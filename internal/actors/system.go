@@ -74,29 +74,15 @@ func (r *Ref) TellFrom(sender *Ref, msg any) {
 }
 
 // TellSpan sends msg continuing the given trace span (which may be nil),
-// recording sender. It never originates a new trace — the conduits that use
-// it (cluster routing, tests) carry the origin's sampling decision in sp —
-// and honors the target's admission policy like TellFrom.
+// recording sender. It never originates a new trace: the conduits that use
+// it (remote dispatch, cluster routing, tests) carry the origin's sampling
+// decision in sp.
 func (r *Ref) TellSpan(sender *Ref, msg any, sp *trace.Span) {
 	if r == nil || r.sys == nil {
 		sp.FinishDead(DLNoRecipient.String(), trace.SpanNow())
 		return
 	}
 	r.sys.send(r, Envelope{Msg: msg, Sender: sender, Span: sp, noTrace: true})
-}
-
-// TellSpanNoWait is TellSpan for conduits that must never block — the
-// remote dispatch path uses it so a full bounded mailbox can never stall a
-// connection's reader goroutine. Where TellSpan would block (MailboxBlock
-// policy, queue full) the message is shed and deadlettered as DLOverloaded
-// instead. It reports whether the message was enqueued (or accepted by a
-// proxy); false means it deadlettered — shed, dropped, or target gone.
-func (r *Ref) TellSpanNoWait(sender *Ref, msg any, sp *trace.Span) bool {
-	if r == nil || r.sys == nil {
-		sp.FinishDead(DLNoRecipient.String(), trace.SpanNow())
-		return false
-	}
-	return r.sys.sendMode(r, Envelope{Msg: msg, Sender: sender, Span: sp, noTrace: true}, putNoWait) == statusDelivered
 }
 
 // Config controls a System.
@@ -107,18 +93,6 @@ type Config struct {
 	// delivery, the behavior behind the paper's misconception [I2]M5
 	// ("conflate message sending order with receiving order").
 	PerturbSeed int64
-	// MailboxCap, when positive, bounds every mailbox: a full queue applies
-	// MailboxPolicy to the sender (block / shed / park-sender) instead of
-	// queueing without limit. Control messages (poison pills) bypass the
-	// bound so shutdown cannot deadlock.
-	MailboxCap int
-	// MailboxPolicy selects what a full bounded mailbox does to non-control
-	// senders: MailboxBlock (default) blocks them, MailboxShed deadletters
-	// the message as DLOverloaded, MailboxParkSender blocks for at most
-	// ParkTimeout then sheds. Ignored when MailboxCap is zero.
-	MailboxPolicy MailboxPolicy
-	// ParkTimeout bounds a MailboxParkSender wait (default 1ms).
-	ParkTimeout time.Duration
 	// DeadLetter, when non-nil, receives messages sent to stopped actors.
 	// The to argument is never nil: a message that had no recipient at all
 	// (for example Context.Reply with no recorded sender) arrives addressed
@@ -324,13 +298,9 @@ func (s *System) spawn(name string, b Behavior, sup *Supervisor, factory func() 
 	if s.cfg.PerturbSeed != 0 {
 		perturb = rand.New(rand.NewSource(s.cfg.PerturbSeed + int64(id)))
 	}
-	parkFor := s.cfg.ParkTimeout
-	if parkFor <= 0 {
-		parkFor = time.Millisecond
-	}
 	c := &cell{
 		ref:      ref,
-		mbox:     newMailbox(perturb, s.cfg.MailboxCap, s.cfg.Injector != nil, s.obsSample, s.cfg.MailboxPolicy, parkFor),
+		mbox:     newMailbox(perturb, s.obsSample),
 		behavior: b,
 		done:     make(chan struct{}),
 		sup:      sup,
@@ -605,9 +575,8 @@ const (
 	// transient: the peer may reconnect, so Ask surfaces it as
 	// ErrPeerUnreachable, which AskRetry retries.
 	statusUnreachable
-	// statusOverloaded: admission control shed the message — a bounded
-	// mailbox full under a shedding policy, or a remote link's outbox full
-	// while the peer is out of credits (deadlettered as DLOverloaded).
+	// statusOverloaded: a proxy shed the message — a remote link's outbox
+	// full while the peer is out of credits (deadlettered as DLOverloaded).
 	// Transient like statusUnreachable: the backlog drains, so Ask surfaces
 	// it as ErrOverloaded, which AskRetry backs off on.
 	statusOverloaded
@@ -622,13 +591,6 @@ const (
 // send delivers an envelope and reports what happened, so synchronous
 // bridges like Ask can fail fast on dead targets.
 func (s *System) send(to *Ref, e Envelope) deliverStatus {
-	return s.sendMode(to, e, putWait)
-}
-
-// sendMode is send with the caller's waiting budget: putWait honors the
-// target's admission policy, putNoWait sheds where putWait would block.
-// (putForce is chosen internally for control messages, never by callers.)
-func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 	if to == nil {
 		s.deadletterKind(to, e, DLNoRecipient)
 		return statusDead
@@ -697,16 +659,9 @@ func (s *System) sendMode(to *Ref, e Envelope, mode putMode) deliverStatus {
 		s.deadletterKind(to, e, DLDead)
 		return statusDead
 	}
-	if ctrl {
-		mode = putForce
-	}
-	switch c.mbox.put(e, mode) {
-	case putClosed:
+	if !c.mbox.put(e) {
 		s.deadletterKind(to, e, DLClosed)
 		return statusDead
-	case putShed:
-		s.deadletterKind(to, e, DLOverloaded)
-		return statusOverloaded
 	}
 	// Ledger add after a successful put, so conservation sees only messages
 	// that actually entered a mailbox. (Latency sampling is not here: the
@@ -747,9 +702,8 @@ const (
 	// DLRemote: a proxy (remote) target could not forward the message —
 	// peer unreachable, or a control message that cannot cross a proxy.
 	DLRemote
-	// DLOverloaded: admission control shed the message — a bounded mailbox
-	// full under MailboxShed (or a ParkSender timeout), or a remote link
-	// whose outbox/credit window had no room. Distinct from DLRemote so
+	// DLOverloaded: a proxy shed the message — a remote link whose
+	// outbox/credit window had no room. Distinct from DLRemote so
 	// dashboards can tell "peer down" from "peer slow".
 	DLOverloaded
 	// DLMoving: the target grain's shard was mid-handoff between cluster

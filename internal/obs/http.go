@@ -29,18 +29,6 @@ type Debug struct {
 	// Tracer backs /debug/trace (recent distributed traces: stage
 	// breakdowns, per-actor attribution, Perfetto export).
 	Tracer *trace.Tracer
-	// Cluster backs /debug/cluster. It returns this node's cluster
-	// introspection snapshot (cluster.Introspection in practice — typed as
-	// a closure so this package stays import-free of internal/cluster), and
-	// the result is served as JSON.
-	Cluster func() any
-}
-
-// Handler returns an http.Handler serving the metrics and flight-recorder
-// endpoints — the original two-surface form, kept for callers that predate
-// the tracing and cluster surfaces. See DebugHandler.
-func Handler(reg *metrics.Registry, rec *trace.Recorder) http.Handler {
-	return DebugHandler(Debug{Registry: reg, Recorder: rec})
 }
 
 // DebugHandler returns an http.Handler serving the debug endpoints:
@@ -52,7 +40,6 @@ func Handler(reg *metrics.Registry, rec *trace.Recorder) http.Handler {
 //	/debug/trace?format=chrome  the same traces as a Perfetto span timeline
 //	/debug/trace?format=text    stage breakdown, one line per span
 //	/debug/trace?n=N            cap the trace list (default 20)
-//	/debug/cluster          membership, shard map, grains, links (JSON)
 //
 // Load the chrome formats into Perfetto (ui.perfetto.dev) or
 // chrome://tracing. The handler takes snapshots per request — scraping never
@@ -156,16 +143,6 @@ func DebugHandler(d Debug) http.Handler {
 			http.Error(w, "format must be json, chrome, or text", http.StatusBadRequest)
 		}
 	})
-	mux.HandleFunc("/debug/cluster", func(w http.ResponseWriter, r *http.Request) {
-		if d.Cluster == nil {
-			http.Error(w, "no cluster configured", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(d.Cluster())
-	})
 	return mux
 }
 
@@ -216,14 +193,9 @@ func summarize(tv trace.TraceView) traceSummary {
 	return ts
 }
 
-// Serve starts Handler on addr in a background goroutine and returns the
-// server (for Close) and its resolved listen address. This is the one-liner
-// the cmd/ binaries use behind their -debug flags.
-func Serve(addr string, reg *metrics.Registry, rec *trace.Recorder) (*http.Server, string, error) {
-	return ServeDebug(addr, Debug{Registry: reg, Recorder: rec})
-}
-
-// ServeDebug is Serve for the full four-surface Debug bundle.
+// ServeDebug starts DebugHandler(d) on addr in a background goroutine and
+// returns the server (for Close) and its resolved listen address. This is
+// the one-liner the cmd/ binaries use behind their -debug flags.
 func ServeDebug(addr string, d Debug) (*http.Server, string, error) {
 	srv := &http.Server{Handler: DebugHandler(d)}
 	ln, err := net.Listen("tcp", addr)

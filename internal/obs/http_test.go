@@ -29,7 +29,7 @@ func testRegistry() *metrics.Registry {
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{le="[^"]+"\})? -?[0-9.+Ife]+$`)
 
 func TestMetricsEndpointIsParseablePrometheus(t *testing.T) {
-	srv := httptest.NewServer(Handler(testRegistry(), nil))
+	srv := httptest.NewServer(DebugHandler(Debug{Registry: testRegistry()}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/metrics")
@@ -85,7 +85,7 @@ func TestFlightEndpointServesChromeTrace(t *testing.T) {
 	rec := trace.NewFlightRecorder(16)
 	rec.Record("worker-1", trace.KindAcquire, "mutex", "")
 	rec.Record("worker-2", trace.KindFault, "deadlock", "cycle suspected")
-	srv := httptest.NewServer(Handler(nil, rec))
+	srv := httptest.NewServer(DebugHandler(Debug{Recorder: rec}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/flight")
@@ -127,9 +127,9 @@ func TestFlightEndpointServesChromeTrace(t *testing.T) {
 }
 
 func TestUnwiredEndpointsAnswer503(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil))
+	srv := httptest.NewServer(DebugHandler(Debug{}))
 	defer srv.Close()
-	for _, path := range []string{"/debug/metrics", "/debug/flight"} {
+	for _, path := range []string{"/debug/metrics", "/debug/flight", "/debug/trace"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestUnwiredEndpointsAnswer503(t *testing.T) {
 }
 
 func TestServeBindsAndAnswers(t *testing.T) {
-	srv, addr, err := Serve("127.0.0.1:0", testRegistry(), nil)
+	srv, addr, err := ServeDebug("127.0.0.1:0", Debug{Registry: testRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

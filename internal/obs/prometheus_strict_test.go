@@ -193,7 +193,7 @@ func TestMetricsEndpointStrictScrape(t *testing.T) {
 	h.Observe(70 * time.Microsecond)
 	h.Observe(2 * time.Millisecond)
 
-	srv := httptest.NewServer(Handler(reg, nil))
+	srv := httptest.NewServer(DebugHandler(Debug{Registry: reg}))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/metrics")
 	if err != nil {
@@ -254,45 +254,5 @@ func TestMetricsEndpointStrictScrape(t *testing.T) {
 	}
 	if !sawInf || !sawSum || !sawCount {
 		t.Fatalf("histogram family incomplete: inf=%v sum=%v count=%v", sawInf, sawSum, sawCount)
-	}
-}
-
-// TestClusterEndpointServesSnapshot pins the /debug/cluster contract: the
-// handler serves whatever the closure returns as indented JSON, and answers
-// 503 when no cluster is wired.
-func TestClusterEndpointServesSnapshot(t *testing.T) {
-	type snap struct {
-		Addr    string `json:"addr"`
-		Quorate bool   `json:"quorate"`
-	}
-	srv := httptest.NewServer(DebugHandler(Debug{
-		Cluster: func() any { return snap{Addr: "node-a:1", Quorate: true} },
-	}))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/debug/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	for _, want := range []string{`"addr": "node-a:1"`, `"quorate": true`} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("cluster snapshot missing %q:\n%s", want, body)
-		}
-	}
-	bare := httptest.NewServer(DebugHandler(Debug{}))
-	defer bare.Close()
-	for _, path := range []string{"/debug/cluster", "/debug/trace"} {
-		resp, err := http.Get(bare.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("%s status = %d, want 503", path, resp.StatusCode)
-		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // TestCreditGatingStallsSender pins the core flow-control invariant: a
 // receiver whose consumer has stopped draining bounds the sender to the
 // credit window, no matter how deep the sender's outbox is. The receiver's
-// mailbox is unbounded — the bound must come from withheld credit, not from
-// MailboxCap — and once the consumer resumes, heartbeat-forced grants
-// restart the flow without any reconnect.
+// mailbox is unbounded, so the bound must come from withheld credit alone
+// — and once the consumer resumes, heartbeat-forced grants restart the
+// flow without any reconnect.
 func TestCreditGatingStallsSender(t *testing.T) {
 	const window = 8
 	a, b, _ := twoMemNodes(t, func(c *Config) {

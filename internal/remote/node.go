@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -165,16 +164,13 @@ type Node struct {
 	// receiver, received as sender); creditsGranted: cumulative messages
 	// worth of credit issued; outboxOverflows: sends shed because a live
 	// link's outbox was full; creditedConns: connections running the
-	// credited protocol (either direction); inboundShed: inbound messages
-	// shed because the target's bounded mailbox was full (the reader never
-	// blocks — see dispatch).
+	// credited protocol (either direction).
 	creditStalls     atomic.Int64
 	creditFramesSent atomic.Int64
 	creditFramesRecv atomic.Int64
 	creditsGranted   atomic.Int64
 	outboxOverflows  atomic.Int64
 	creditedConns    atomic.Int64
-	inboundShed      atomic.Int64
 
 	// Gossip counters: FrameGossip traffic in each direction.
 	gossipSent atomic.Int64
@@ -358,7 +354,6 @@ type Stats struct {
 	CreditFramesRecv  int64 // FrameCredit grants received on dial-out links
 	CreditsGranted    int64 // cumulative messages worth of credit issued
 	OutboxOverflows   int64 // sends shed because a live link's outbox was full
-	InboundShed       int64 // inbound messages shed at a full bounded mailbox
 	GossipFramesSent  int64 // membership digests piggybacked on heartbeat ticks
 	GossipFramesRecv  int64 // membership digests received and handed to the hook
 }
@@ -383,50 +378,9 @@ func (n *Node) Stats() Stats {
 		CreditFramesRecv:  n.creditFramesRecv.Load(),
 		CreditsGranted:    n.creditsGranted.Load(),
 		OutboxOverflows:   n.outboxOverflows.Load(),
-		InboundShed:       n.inboundShed.Load(),
 		GossipFramesSent:  n.gossipSent.Load(),
 		GossipFramesRecv:  n.gossipRecv.Load(),
 	}
-}
-
-// LinkInfo is one dial-out link's live state, for introspection surfaces
-// (the /debug/cluster endpoint). Credits is -1 while the connection is down
-// or uncredited — metering does not apply.
-type LinkInfo struct {
-	Peer        string `json:"peer"`
-	State       string `json:"state"` // connecting, up, down
-	OutboxDepth int64  `json:"outbox_depth"`
-	OutboxCap   int    `json:"outbox_cap"`
-	Credits     int64  `json:"credits"`
-}
-
-// Links snapshots every dial-out link, sorted by peer address.
-func (n *Node) Links() []LinkInfo {
-	n.mu.Lock()
-	links := make(map[string]*link, len(n.links))
-	for addr, l := range n.links {
-		links[addr] = l
-	}
-	n.mu.Unlock()
-	out := make([]LinkInfo, 0, len(links))
-	for addr, l := range links {
-		state := "connecting"
-		switch l.state.Load() {
-		case linkUp:
-			state = "up"
-		case linkDown:
-			state = "down"
-		}
-		out = append(out, LinkInfo{
-			Peer:        addr,
-			State:       state,
-			OutboxDepth: l.depth(),
-			OutboxCap:   n.cfg.OutboxCap,
-			Credits:     l.credits(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
 }
 
 // RegisterMetrics exposes the node's counters as gauges named
@@ -453,7 +407,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.Gauge(prefix+".wire.credit_frames_received", n.creditFramesRecv.Load)
 	reg.Gauge(prefix+".wire.credits_granted", n.creditsGranted.Load)
 	reg.Gauge(prefix+".wire.outbox_overflows", n.outboxOverflows.Load)
-	reg.Gauge(prefix+".wire.inbound_shed", n.inboundShed.Load)
 	reg.Gauge(prefix+".wire.gossip_sent", n.gossipSent.Load)
 	reg.Gauge(prefix+".wire.gossip_received", n.gossipRecv.Load)
 	reg.Gauge(prefix+".wire.links", func() int64 {
@@ -883,16 +836,12 @@ func (n *Node) dispatch(w *WireEnvelope) *actors.Ref {
 		}).TellSpan(sender, w.Payload, sp)
 		return nil
 	}
-	// No-wait delivery: this runs on the connection's reader goroutine, and
-	// a send that blocked on a full bounded mailbox would stall heartbeat
-	// acks and credit grants for every sender sharing the connection. Where
-	// a local Tell would wait, the reader sheds (DLOverloaded in the local
-	// system) — the credit window, not the reader, is the backpressure.
-	// TellSpan also suppresses local trace origination: roots start at the
-	// client's send, never mid-flight on a forwarded message.
-	if !target.TellSpanNoWait(sender, w.Payload, sp) {
-		n.inboundShed.Add(1)
-	}
+	// This runs on the connection's reader goroutine; the enqueue never
+	// blocks (mailboxes are unbounded), and the credit window is what keeps
+	// a slow target's backlog in check. TellSpan also suppresses local trace
+	// origination: roots start at the client's send, never mid-flight on a
+	// forwarded message.
+	target.TellSpan(sender, w.Payload, sp)
 	return target
 }
 
